@@ -82,6 +82,14 @@ struct JoinCounter {
   }
 };
 
+// Runs `body` once `c` is written (RtExec::fork_after): the first await
+// parks this frame in the cell, or posts it if the cell is already written.
+template <typename T>
+Fiber after_written(rt::FutCell<T>* c, Fiber body) {
+  co_await c->park_or_post();
+  co_await std::move(body);
+}
+
 // Watcher fiber: drive one child task to completion, then arrive at the
 // join. The task object lives in the parent's awaiter, which outlives every
 // watcher (the parent resumes only after all arrivals).
@@ -125,6 +133,21 @@ class RtExec {
     rt::Scheduler* s = rt::Scheduler::current();
     PWF_CHECK_MSG(s != nullptr, "fork outside a Scheduler's lifetime");
     s->post(f.handle);
+  }
+
+  // Forks `f`, whose first action is to touch `c`, to run once `c` is
+  // written. While `c` is empty the forking thread parks the fiber in it
+  // directly, instead of posting a fiber that a worker — woken for it if
+  // all were idle — would resume only to park it there. Chained batches
+  // have exactly this shape: each one's first touch is its predecessor's
+  // result, usually still materializing.
+  template <typename T>
+  void fork_after(rt::FutCell<T>* c, Fiber f) const {
+    if (c->written()) {
+      fork(std::move(f));
+    } else {
+      detail::after_written(c, std::move(f)).handle.resume();
+    }
   }
 
   // ---- local work (cost-model bookkeeping only — free at runtime) ----------

@@ -65,6 +65,12 @@ class InjectRing {
     }
   }
 
+  // Approximate: a slot claimed but not yet filled counts as queued.
+  bool empty() const {
+    return head_.load(std::memory_order_acquire) ==
+           tail_.load(std::memory_order_acquire);
+  }
+
   // Nullptr when empty.
   void* pop() {
     std::size_t pos = head_.load(std::memory_order_relaxed);

@@ -85,7 +85,7 @@ pt::Cell<pipelined::RtPolicy, E>* union_maps(
     Merge merge) {
   pipelined::RtExec ex;
   auto* out = st.cell();
-  ex.fork(pt::union_into(ex, st, a, b, out, merge));
+  ex.fork_after(a, pt::union_into(ex, st, a, b, out, merge));
   return out;
 }
 
@@ -96,7 +96,7 @@ pt::Cell<pipelined::RtPolicy, E>* diff_maps(
     pt::Cell<pipelined::RtPolicy, E>* a, pt::Cell<pipelined::RtPolicy, E>* b) {
   pipelined::RtExec ex;
   auto* out = st.cell();
-  ex.fork(pt::diff_into(ex, st, a, b, out));
+  ex.fork_after(a, pt::diff_into(ex, st, a, b, out));
   return out;
 }
 

@@ -9,21 +9,21 @@ namespace pl = pipelined;
 Cell* union_treaps(Store& st, Cell* a, Cell* b) {
   pl::RtExec ex;
   Cell* out = st.cell();
-  ex.fork(pl::treap::union_into(ex, st, a, b, out));
+  ex.fork_after(a, pl::treap::union_into(ex, st, a, b, out));
   return out;
 }
 
 Cell* diff_treaps(Store& st, Cell* a, Cell* b) {
   pl::RtExec ex;
   Cell* out = st.cell();
-  ex.fork(pl::treap::diff_into(ex, st, a, b, out));
+  ex.fork_after(a, pl::treap::diff_into(ex, st, a, b, out));
   return out;
 }
 
 Cell* intersect_treaps(Store& st, Cell* a, Cell* b) {
   pl::RtExec ex;
   Cell* out = st.cell();
-  ex.fork(pl::treap::intersect_into(ex, st, a, b, out));
+  ex.fork_after(a, pl::treap::intersect_into(ex, st, a, b, out));
   return out;
 }
 

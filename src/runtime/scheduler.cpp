@@ -124,13 +124,39 @@ void Scheduler::post(std::coroutine_handle<> h) {
   // worker's later queue loads against it. With [P] and [W] in the single
   // total order of seq_cst fences, one side must observe the other: either
   // the worker's recheck sees the item, or this load sees parked_ != 0 and
-  // signals. The worst residual miss (signal fired while the worker was
-  // between announcing and waiting) is bounded by the 1 ms park timeout.
+  // wakes it (wake_one closes the gap between that recheck and the wait).
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_relaxed) != 0) {
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
-    park_cv_.notify_one();
+  if (parked_.load(std::memory_order_relaxed) != 0) wake_one();
+}
+
+// One wake per burst (see wake_pending_): while a woken worker is still on
+// its way out of the parking lot, a post needs no futex of its own. The
+// decision is taken under park_mutex_, where workers also recheck for work
+// and leave the lot, so a wake is never issued for nobody and never lost
+// between a worker's recheck and its wait. The 1 ms park timeout stays as
+// a backstop only.
+void Scheduler::wake_one() {
+  if (wake_pending_.load(std::memory_order_relaxed)) return;
+  {
+    std::lock_guard<std::mutex> lk(park_mutex_);
+    if (parked_.load(std::memory_order_relaxed) == 0 ||
+        wake_pending_.load(std::memory_order_relaxed))
+      return;
+    wake_pending_.store(true, std::memory_order_relaxed);
   }
+  wakeups_.fetch_add(1, std::memory_order_relaxed);
+  park_cv_.notify_one();
+}
+
+// Whether any queue visibly holds work (approximate, relaxed): a worker
+// leaving the parking lot uses it to pass the wake on to a parked peer.
+bool Scheduler::work_queued() const {
+  if (!inject_ring_.empty() ||
+      overflow_count_.load(std::memory_order_relaxed) != 0)
+    return true;
+  for (const auto& w : workers_)
+    if (w->deque.size_estimate() > 0) return true;
+  return false;
 }
 
 std::coroutine_handle<> Scheduler::find_work(unsigned index) {
@@ -197,27 +223,36 @@ void Scheduler::worker_loop(unsigned index) {
       run(h);
       continue;
     }
-    // Spin-then-park — worker half of the Dekker handshake (see the audit
-    // comment in post()). Announce first, fence, then recheck: the explicit
-    // fence pairs with post()'s fence so a poster that misses this
-    // announcement is guaranteed its item is visible to the recheck. The
-    // announce alone (even as a seq_cst RMW) would not order the recheck's
-    // queue loads after it.
+    // Park — worker half of the Dekker handshake (see the audit comment in
+    // post()). Announce first, fence, then recheck: the explicit fence pairs
+    // with post()'s fence so a poster that misses this announcement is
+    // guaranteed its item is visible to the recheck. The announce alone
+    // (even as a seq_cst RMW) would not order the recheck's queue loads
+    // after it. The recheck runs under park_mutex_, which wake_one() takes
+    // before notifying.
     parked_.fetch_add(1, std::memory_order_seq_cst);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (std::coroutine_handle<> h = find_work(index)) {
-      parked_.fetch_sub(1, std::memory_order_relaxed);
-      run(h);
-      continue;
-    }
+    std::coroutine_handle<> h;
     bool stopping;
     {
       std::unique_lock<std::mutex> lk(park_mutex_);
-      if (!stop_) park_cv_.wait_for(lk, std::chrono::milliseconds(1));
+      h = find_work(index);
+      if (!h && !stop_) park_cv_.wait_for(lk, std::chrono::milliseconds(1));
       stopping = stop_;
+      // Out of the parking lot: a later post must wake someone again.
+      parked_.fetch_sub(1, std::memory_order_relaxed);
+      wake_pending_.store(false, std::memory_order_relaxed);
     }
-    parked_.fetch_sub(1, std::memory_order_relaxed);
-    if (stopping) break;
+    if (!h) h = find_work(index);
+    if (!h) {
+      if (stopping) break;
+      continue;
+    }
+    // Pass the wake on while work is still queued and peers sleep, so a
+    // burst that woke one worker does not leave the others parked.
+    if (parked_.load(std::memory_order_relaxed) != 0 && work_queued())
+      wake_one();
+    run(h);
   }
   t_worker_index = -1;
   t_worker_scheduler = nullptr;

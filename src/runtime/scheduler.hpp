@@ -125,6 +125,8 @@ class Scheduler {
 
   void worker_loop(unsigned index);
   std::coroutine_handle<> find_work(unsigned index);
+  void wake_one();
+  bool work_queued() const;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
@@ -141,13 +143,18 @@ class Scheduler {
   // Parking lot. `parked_` is the Dekker bit of the lock-free wake path
   // (same pattern as FutCell's kBlocked announcement): a worker announces
   // itself *before* its final work recheck, a poster enqueues *before*
-  // loading the counter, so one side always observes the other and post()
-  // never touches park_mutex_. The mutex only serializes the cv wait itself
-  // and the stop_ flag.
+  // loading the counter, so one side always observes the other. A post
+  // that finds a parked worker wakes one unless `wake_pending_` says an
+  // earlier wake has not yet been taken up; the next worker to leave the
+  // parking lot clears it and goes looking for work, so a burst of posts
+  // costs one futex wake, not one per post. The mutex serializes the final
+  // recheck, the cv wait, leaving the lot, the waker's decision and the
+  // stop_ flag.
   std::mutex park_mutex_;
   std::condition_variable park_cv_;
   bool stop_ = false;  // guarded by park_mutex_
   std::atomic<unsigned> parked_{0};
+  std::atomic<bool> wake_pending_{false};
 
   // Lazily started I/O reactor. reactor_ptr_ is the lock-free fast path;
   // reactor_mu_ serializes the one-time start. Torn down first in

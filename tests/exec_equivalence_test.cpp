@@ -15,6 +15,9 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -647,6 +650,286 @@ TEST_P(ExecEquivalenceThreshold, QuicksortAndProducerConsumer) {
     EXPECT_EQ(rt::list::wait_list(rt::list::quicksort(st, values)), oracle);
     EXPECT_EQ(rt::list::produce_consume_sum(st, ni), sum_oracle);
   }
+}
+
+// ---- small operand against a large one --------------------------------------
+// The path-bounded cutoff applies an operand of at most serial_threshold()
+// keys along the other operand's search paths, linking every side it never
+// reaches into the result as the same cell. Here the small operand has the
+// parameter's size (threshold-1 ... 2*threshold) against 64*threshold keys,
+// on either side of union, difference and intersection, for sets, maps and
+// sum-augmented maps, on every substrate. Union merges with an
+// order-sensitive function, so operand order is checked through every
+// priority swap. Intersection keeps the root side's value, which depends
+// on the storage layout, so its inputs agree on every shared key's value.
+
+namespace pt = pipelined::treap;
+
+using KeyValue = std::pair<Key, std::int64_t>;
+using SumAugEntry =
+    pt::AugEntry<pt::MapEntry<std::int64_t>, pt::SumAug<std::int64_t>>;
+
+enum class SetOp { kUnion, kDiff, kIntersect };
+
+// Order-sensitive merge for maps; keep-first for sets (Value is Unit).
+struct MergeTwiceAMinusB {
+  template <typename V>
+  V operator()(const V& x, const V& y) const {
+    if constexpr (std::is_same_v<V, std::int64_t>) {
+      return 2 * x - y;
+    } else {
+      return x;
+    }
+  }
+};
+
+template <typename Ex, typename St, typename C>
+pipelined::Fiber set_op_body(SetOp op, Ex ex, St& st, C* a, C* b, C* out) {
+  switch (op) {
+    case SetOp::kUnion:
+      return pt::union_into(ex, st, a, b, out, MergeTwiceAMinusB{});
+    case SetOp::kDiff:
+      return pt::diff_into(ex, st, a, b, out);
+    default:
+      return pt::intersect_into(ex, st, a, b, out);
+  }
+}
+
+template <typename Ex, typename St, typename N>
+N* set_op_strict(SetOp op, Ex ex, St& st, N* a, N* b) {
+  switch (op) {
+    case SetOp::kUnion:
+      return pipelined::run_inline(
+          pt::union_strict(ex, st, a, b, MergeTwiceAMinusB{}));
+    case SetOp::kDiff:
+      return pipelined::run_inline(pt::diff_strict(ex, st, a, b));
+    default:
+      return pipelined::run_inline(pt::intersect_strict(ex, st, a, b));
+  }
+}
+
+std::vector<KeyValue> set_op_oracle(SetOp op, const std::vector<KeyValue>& a,
+                                   const std::vector<KeyValue>& b) {
+  std::map<Key, std::int64_t> out(a.begin(), a.end());
+  const std::map<Key, std::int64_t> mb(b.begin(), b.end());
+  if (op == SetOp::kUnion) {
+    for (const auto& [k, v] : mb) {
+      auto [it, fresh] = out.emplace(k, v);
+      if (!fresh) it->second = MergeTwiceAMinusB{}(it->second, v);
+    }
+  } else if (op == SetOp::kDiff) {
+    for (const auto& [k, v] : mb) out.erase(k);
+  } else {
+    std::erase_if(out, [&](const auto& kv) { return !mb.contains(kv.first); });
+  }
+  return {out.begin(), out.end()};
+}
+
+template <typename St>
+auto build_items(St& st, const std::vector<KeyValue>& items) {
+  if constexpr (St::Entry::kHasValue) {
+    return st.build(std::span<const KeyValue>(items));
+  } else {
+    std::vector<Key> keys;
+    for (const auto& [k, v] : items) keys.push_back(k);
+    return st.build(keys);
+  }
+}
+
+// Items of a result tree (value 0 for sets), plus its range aggregates
+// checked against the expected items' fold when the entry is augmented.
+template <typename E, typename C, typename Force>
+void expect_items(C* out, Force force, const std::vector<KeyValue>& expected,
+                  const std::string& what) {
+  std::vector<KeyValue> got;
+  pt::visit_items(out, force, [&](Key k, const auto& v) {
+    if constexpr (E::kHasValue) {
+      got.emplace_back(k, v);
+    } else {
+      got.emplace_back(k, 0);
+    }
+  });
+  std::vector<KeyValue> want = expected;
+  if constexpr (!E::kHasValue)
+    for (auto& kv : want) kv.second = 0;
+  EXPECT_EQ(got, want) << what;
+  if constexpr (E::kHasAug) {
+    for (std::size_t i = 0; i + 1 < want.size(); i += want.size() / 7 + 1) {
+      const Key lo = want[i].first;
+      const Key hi = want[std::min(want.size() - 1, i + want.size() / 3)].first;
+      std::int64_t fold = 0;
+      for (const auto& [k, v] : want)
+        if (k >= lo && k <= hi) fold += v;
+      EXPECT_EQ(pt::aggregate(out, lo, hi, force), fold)
+          << what << " [" << lo << ", " << hi << "]";
+    }
+  }
+}
+
+template <typename E>
+void check_small_into_large(std::size_t small_n) {
+  const std::size_t thr = pipelined::RtExec::kDefaultSerialThreshold;
+  const auto large_keys = random_keys(64 * thr, 17 * small_n + 1);
+  std::set<Key> small_set;  // half shared with the large operand
+  Rng rng(17 * small_n + 2);
+  while (small_set.size() < small_n)
+    small_set.insert(small_set.size() % 2 == 0
+                         ? large_keys[rng.below(large_keys.size())]
+                         : rng.range(0, 1 << 22));
+  const auto values = [](Key k, std::int64_t salt) {
+    return static_cast<std::int64_t>((k * 2654435761u + salt) % 1000) + 1;
+  };
+  // Union and difference see distinct values per operand; intersection
+  // sees one value per key (see above).
+  const auto items = [&](const auto& keys, std::int64_t salt) {
+    std::vector<KeyValue> out;
+    for (Key k : keys) out.emplace_back(k, values(k, salt));
+    return out;
+  };
+  struct Shape {
+    SetOp op;
+    std::vector<KeyValue> a, b;
+    std::string what;
+  };
+  std::vector<Shape> shapes;
+  for (const SetOp op : {SetOp::kUnion, SetOp::kDiff, SetOp::kIntersect}) {
+    const std::int64_t sb = op == SetOp::kIntersect ? 0 : 7;
+    const std::string name = op == SetOp::kUnion  ? "union"
+                             : op == SetOp::kDiff ? "difference"
+                                                  : "intersection";
+    shapes.push_back({op, items(large_keys, 0), items(small_set, sb),
+                      name + " large-small"});
+    shapes.push_back({op, items(small_set, sb), items(large_keys, 0),
+                      name + " small-large"});
+  }
+
+  {
+    cm::Engine eng;  // CmExec: threshold 0, the control group
+    eng.set_crew(E::kHasAug);
+    pt::Store<pipelined::CmPolicy, E> st(eng);
+    const auto peekf = [](const auto* c) { return pipelined::CmPolicy::peek(c); };
+    for (const Shape& s : shapes) {
+      auto* out = st.cell();
+      auto* a = st.input(build_items(st, s.a));
+      auto* b = st.input(build_items(st, s.b));
+      eng.fork([&] {
+        pipelined::run_inline(
+            set_op_body(s.op, pipelined::CmExec(eng), st, a, b, out));
+      });
+      expect_items<E>(out, peekf, set_op_oracle(s.op, s.a, s.b),
+                      "CmExec " + s.what);
+    }
+  }
+  {
+    cm::Engine eng;  // CmStrictExec
+    eng.set_crew(E::kHasAug);
+    pt::Store<pipelined::CmPolicy, E> st(eng);
+    const auto peekf = [](const auto* c) { return pipelined::CmPolicy::peek(c); };
+    for (const Shape& s : shapes) {
+      auto* n = set_op_strict(s.op, pipelined::CmStrictExec(eng), st,
+                              build_items(st, s.a), build_items(st, s.b));
+      expect_items<E>(st.input(n), peekf, set_op_oracle(s.op, s.a, s.b),
+                      "CmStrictExec " + s.what);
+    }
+  }
+  {
+    rt::Scheduler sched(2);  // RtExec: chunked leaves, default threshold
+    pt::Store<pipelined::RtPolicy, E> st;
+    const auto waitf = [](auto* c) { return c->wait_blocking(); };
+    for (const Shape& s : shapes) {
+      auto* out = st.cell();
+      pipelined::RtExec ex;
+      ex.fork(set_op_body(s.op, ex, st, st.input(build_items(st, s.a)),
+                          st.input(build_items(st, s.b)), out));
+      expect_items<E>(out, waitf, set_op_oracle(s.op, s.a, s.b),
+                      "RtExec " + s.what);
+    }
+  }
+  {
+    cm::Engine eng(/*trace=*/true);  // RecExec: the runtime's code paths
+    eng.set_crew(E::kHasAug);        // aug fibers re-read node cells
+    analyze::RecExec ex(eng, thr);
+    pt::Store<analyze::RecPolicy, E> st(eng, pt::kDefaultSalt,
+                                        pt::kDefaultLeafCapacity);
+    const auto rpeek = [](const auto* c) { return analyze::RecPolicy::peek(c); };
+    for (const Shape& s : shapes) {
+      auto* out = st.cell();
+      auto* a = st.input(build_items(st, s.a));
+      auto* b = st.input(build_items(st, s.b));
+      eng.fork([&] {
+        pipelined::run_inline(set_op_body(s.op, ex, st, a, b, out));
+      });
+      expect_items<E>(out, rpeek, set_op_oracle(s.op, s.a, s.b),
+                      "RecExec " + s.what);
+    }
+    EXPECT_GT(eng.serial_cutoffs(), 0u);
+    ASSERT_NE(eng.trace(), nullptr);
+    analyze::Options opts;
+    opts.check_linearity = false;
+    opts.check_erew = !E::kHasAug;
+    const analyze::Report rep = analyze::verify(*eng.trace(), opts);
+    EXPECT_TRUE(rep.ok()) << "small-into-large: " << rep.to_string();
+  }
+  if constexpr (E::kHasValue) {
+    // On one storage layout the path bodies keep the same side's value in
+    // an intersection as the pipelined body does, operands disagreeing.
+    // Which side survives is decided where both roots hold the same key.
+    // To reach such ties below a small root that outranks a large subtree
+    // inside the serial recursion, the small operand holds the large one's
+    // highest-priority keys except its root, plus one new key ranked just
+    // below that root.
+    const auto intersect_rec = [](std::size_t threshold,
+                                  const std::vector<KeyValue>& a,
+                                  const std::vector<KeyValue>& b) {
+      cm::Engine eng(/*trace=*/true);
+      eng.set_crew(E::kHasAug);
+      analyze::RecExec ex(eng, threshold);
+      pt::Store<analyze::RecPolicy, E> st(eng, pt::kDefaultSalt,
+                                          pt::kDefaultLeafCapacity);
+      auto* out = st.cell();
+      auto* ca = st.input(build_items(st, a));
+      auto* cb = st.input(build_items(st, b));
+      eng.fork([&] {
+        pipelined::run_inline(
+            set_op_body(SetOp::kIntersect, ex, st, ca, cb, out));
+      });
+      std::vector<KeyValue> got;
+      pt::visit_items(
+          out, [](const auto* c) { return analyze::RecPolicy::peek(c); },
+          [&](Key k, const std::int64_t& v) { got.emplace_back(k, v); });
+      return got;
+    };
+    const pt::Store<pipelined::RtPolicy, E> hash;  // priorities only
+    std::vector<Key> by_pri = large_keys;
+    std::sort(by_pri.begin(), by_pri.end(), [&](Key x, Key y) {
+      return hash.priority(x) > hash.priority(y);
+    });
+    std::set<Key> tied(by_pri.begin() + 1,
+                       by_pri.begin() + std::min<std::size_t>(small_n, 64));
+    for (Key k = 1;; k += 2) {
+      const auto p = hash.priority(k);
+      if (p > hash.priority(by_pri[1]) && p < hash.priority(by_pri[0]) &&
+          !std::binary_search(large_keys.begin(), large_keys.end(), k)) {
+        tied.insert(k);
+        break;
+      }
+    }
+    const auto large = items(large_keys, 0), small = items(tied, 7);
+    EXPECT_EQ(intersect_rec(thr, large, small), intersect_rec(0, large, small));
+    EXPECT_EQ(intersect_rec(thr, small, large), intersect_rec(0, small, large));
+  }
+}
+
+TEST_P(ExecEquivalenceThreshold, SmallIntoLargeSet) {
+  check_small_into_large<pt::SetEntry>(GetParam());
+}
+
+TEST_P(ExecEquivalenceThreshold, SmallIntoLargeMap) {
+  check_small_into_large<pt::MapEntry<std::int64_t>>(GetParam());
+}
+
+TEST_P(ExecEquivalenceThreshold, SmallIntoLargeSumAug) {
+  check_small_into_large<SumAugEntry>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,12 +6,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include "runtime/future.hpp"
 #include "runtime/parallel_map.hpp"
+#include "runtime/rt_async.hpp"
 #include "runtime/rt_map.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/sharded_map.hpp"
@@ -454,6 +457,121 @@ TEST(ParallelMapConcurrent, SnapshotReadersRaceWritersAndCompaction) {
   EXPECT_EQ(m.items(), std::vector<Item>(ref.begin(), ref.end()));
   EXPECT_EQ(m.aggregate(0, 1 << 20),
             fold_range(ref, 0, 1 << 20));
+}
+
+// ---- path-bounded serial cutoff ----------------------------------------------
+// A batch of at most serial_threshold() keys is applied to the index by one
+// plain recursion along its search paths (docs/runtime.md, "Granularity
+// control"), not by forking splitm and two unions at every level: against a
+// flushed index, one fiber carries the whole batch.
+
+TEST(ParallelMapPathCutoff, SmallBatchesResumeAtMostEightFibers) {
+  Scheduler sched(2);
+  Rng rng(67);
+  ParallelMap<std::int64_t, SumAug> m(sched);
+  auto add = [](std::int64_t x, std::int64_t y) { return x + y; };
+  std::map<map::Key, std::int64_t> ref;
+  std::vector<Item> base;
+  for (map::Key k = 0; k < (1 << 16); ++k) base.emplace_back(2 * k, k % 97);
+  m.insert_batch(base, add);
+  ref.insert(base.begin(), base.end());
+  m.flush();
+
+  std::vector<Item> batch;  // half hit existing keys, half are new
+  for (int i = 0; i < 16; ++i)
+    batch.emplace_back(rng.range(0, 1 << 17),
+                       static_cast<std::int64_t>(rng.below(100)));
+  const std::uint64_t before_insert = sched.stats().resumed;
+  m.insert_batch(batch, add);
+  m.flush();
+  const std::uint64_t after_insert = sched.stats().resumed;
+  EXPECT_LE(after_insert - before_insert, 8u);
+  for (const auto& [k, v] : batch) ref[k] += v;
+
+  std::vector<map::Key> gone;
+  for (int i = 0; i < 16; ++i) gone.push_back(rng.range(0, 1 << 17));
+  m.erase_batch(gone);
+  m.flush();
+  EXPECT_LE(sched.stats().resumed - after_insert, 8u);
+  for (map::Key k : gone) ref.erase(k);
+
+  EXPECT_EQ(m.items(), std::vector<Item>(ref.begin(), ref.end()));
+  for (int probe = 0; probe < 50; ++probe) {
+    map::Key lo = rng.range(-10, (1 << 17) + 10);
+    map::Key hi = rng.range(-10, (1 << 17) + 10);
+    if (lo > hi) std::swap(lo, hi);
+    ASSERT_EQ(m.aggregate(lo, hi), fold_range(ref, lo, hi))
+        << "[" << lo << ", " << hi << "]";
+  }
+}
+
+// Small batches chained without flushing behind larger ones that are still
+// materializing: the serial path bodies meet unwritten structure and
+// aggregate cells and fork the pipelined bodies there, while a reader races
+// them with point reads, snapshot aggregates and async probes (tsan-covered).
+TEST(ParallelMapConcurrent, SmallBatchesChainOverUnwrittenCells) {
+  // Probe result cells outlive the scheduler: a worker may still be inside
+  // a cell's write when the reader's wait_blocking returns.
+  std::deque<FutCell<rtasync::Probe<std::int64_t>>> probes;
+  Scheduler sched(2);
+  Rng rng(71);
+  ParallelMap<std::int64_t, SumAug> m(sched);
+  auto add = [](std::int64_t x, std::int64_t y) { return x + y; };
+  constexpr map::Key kUniverse = 1 << 16;
+  std::map<map::Key, std::int64_t> ref;
+  const auto draw_items = [&](std::size_t n) {
+    std::vector<Item> out;
+    for (std::size_t i = 0; i < n; ++i)
+      out.emplace_back(rng.range(0, kUniverse),
+                       static_cast<std::int64_t>(rng.below(100)));
+    return out;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::int64_t> sink{0};  // keeps the reader loop un-elidable
+  std::thread reader([&m, &stop, &sink, &probes] {
+    Rng mine(401);
+    std::int64_t acc = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const map::Key k = mine.range(0, kUniverse);
+      acc += m.get(k).value_or(0);
+      map::Key lo = mine.range(0, kUniverse), hi = mine.range(0, kUniverse);
+      if (lo > hi) std::swap(lo, hi);
+      acc += m.snapshot().aggregate(lo, hi);
+      FutCell<rtasync::Probe<std::int64_t>>& cell = probes.emplace_back();
+      m.probe_into(k, cell);
+      acc += cell.wait_blocking().found ? 1 : 0;
+    }
+    sink.fetch_add(acc, std::memory_order_relaxed);
+  });
+
+  for (int i = 0; i < 512; ++i) {
+    if (i % 64 == 0) {
+      // A large batch takes the pipelined path and leaves cells unwritten
+      // for the small batches chained right behind it.
+      const std::vector<Item> big = draw_items(2048);
+      m.insert_batch(big, add);
+      for (const auto& [k, v] : big) ref[k] += v;
+    }
+    if (rng.coin()) {
+      const std::vector<Item> batch = draw_items(16);
+      m.insert_batch(batch, add);
+      for (const auto& [k, v] : batch) ref[k] += v;
+    } else {
+      std::vector<map::Key> gone;
+      for (int j = 0; j < 16; ++j) gone.push_back(rng.range(0, kUniverse));
+      m.erase_batch(gone);
+      for (map::Key k : gone) ref.erase(k);
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_GE(sink.load(std::memory_order_relaxed), 0);
+  EXPECT_GT(m.stats().overlapped, 0u);
+
+  m.flush();
+  EXPECT_EQ(m.items(), std::vector<Item>(ref.begin(), ref.end()));
+  EXPECT_EQ(m.aggregate(0, kUniverse), fold_range(ref, 0, kUniverse));
 }
 
 }  // namespace

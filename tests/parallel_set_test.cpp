@@ -323,6 +323,84 @@ TEST(ParallelSetSnapshot, PinsContentsAcrossBatchesAndCompaction) {
             std::vector<std::int64_t>(ref.begin(), ref.end()));
 }
 
+// ---- path-bounded serial cutoff --------------------------------------------
+// A batch of at most serial_threshold() keys is applied by one plain
+// recursion along its search paths (docs/runtime.md, "Granularity
+// control"): against a flushed set, one fiber carries the whole batch.
+
+TEST(ParallelSetPathCutoff, SmallBatchesResumeAtMostEightFibers) {
+  Scheduler sched(2);
+  Rng rng(67);
+  std::vector<std::int64_t> base;
+  for (std::int64_t k = 0; k < (1 << 16); ++k) base.push_back(2 * k);
+  ParallelSet s(sched, base);
+  std::set<std::int64_t> ref(base.begin(), base.end());
+  s.flush();
+
+  const auto batch = draw(rng, 16, 1 << 17);  // about half already present
+  const std::uint64_t before_insert = sched.stats().resumed;
+  s.insert_batch(batch);
+  s.flush();
+  const std::uint64_t after_insert = sched.stats().resumed;
+  EXPECT_LE(after_insert - before_insert, 8u);
+  ref.insert(batch.begin(), batch.end());
+
+  const auto gone = draw(rng, 16, 1 << 17);
+  s.erase_batch(gone);
+  s.flush();
+  EXPECT_LE(sched.stats().resumed - after_insert, 8u);
+  for (auto k : gone) ref.erase(k);
+
+  EXPECT_EQ(s.keys(), std::vector<std::int64_t>(ref.begin(), ref.end()));
+}
+
+// Small batches chained without flushing behind larger ones that are still
+// materializing: the serial path bodies meet unwritten cells and fork the
+// pipelined bodies there while a reader races them (tsan-covered).
+TEST(ParallelSetConcurrent, SmallBatchesChainOverUnwrittenCells) {
+  Scheduler sched(2);
+  Rng rng(71);
+  constexpr std::int64_t kUniverse = 1 << 16;
+  ParallelSet s(sched);
+  std::set<std::int64_t> ref;
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> sink{0};  // keeps the reader loop un-elidable
+  std::thread reader([&s, &stop, &sink] {
+    Rng mine(401);
+    std::size_t acc = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      acc += s.contains(mine.range(0, kUniverse)) ? 1 : 0;
+      acc += s.snapshot().contains(mine.range(0, kUniverse)) ? 1 : 0;
+    }
+    sink.fetch_add(acc, std::memory_order_relaxed);
+  });
+
+  for (int i = 0; i < 512; ++i) {
+    if (i % 64 == 0) {
+      // A large batch takes the pipelined path and leaves cells unwritten
+      // for the small batches chained right behind it.
+      const auto big = draw(rng, 2048, kUniverse);
+      s.insert_batch(big);
+      ref.insert(big.begin(), big.end());
+    }
+    const auto batch = draw(rng, 16, kUniverse);
+    if (rng.coin()) {
+      s.insert_batch(batch);
+      ref.insert(batch.begin(), batch.end());
+    } else {
+      s.erase_batch(batch);
+      for (auto k : batch) ref.erase(k);
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_GT(s.stats().overlapped, 0u);
+
+  s.flush();
+  EXPECT_EQ(s.keys(), std::vector<std::int64_t>(ref.begin(), ref.end()));
+}
+
 // ---- sharded vs unsharded equivalence --------------------------------------
 
 class ShardedSetSweep : public ::testing::TestWithParam<int> {};

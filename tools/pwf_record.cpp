@@ -139,8 +139,9 @@ bool run_treap(std::size_t cap, std::size_t thr, const Config& cfg) {
         ex, st, st.input(st.build(a)), st.input(st.build(b)));
     got_u = rec::treap_inorder(uc);
     ok &= got_u == u;
-    ok &= rec::treap_inorder(rec::diff_treaps(ex, st, st.input(st.build(a)),
-                                              st.input(st.build(b)))) == d;
+    rec::TreapCell* dc = rec::diff_treaps(ex, st, st.input(st.build(a)),
+                                          st.input(st.build(b)));
+    ok &= rec::treap_inorder(dc) == d;
     ok &= rec::treap_inorder(rec::intersect_treaps(
               ex, st, st.input(st.build(a)), st.input(st.build(b)))) == i;
     // Strict baseline on the same substrate parameters.
@@ -148,6 +149,38 @@ bool run_treap(std::size_t cap, std::size_t thr, const Config& cfg) {
     pwf::pipelined::treap::collect_inorder<pwf::analyze::RecPolicy>(
         rec::union_strict(ex, st, st.build(a), st.build(b)), got_strict);
     ok &= got_strict == u;
+
+    // Small operands (at most the threshold's keys) chained onto the
+    // computed results: the path-bounded cutoff links every large-side
+    // cell it never reaches into its result, so the next operation reads
+    // cells written by an earlier one through a result that shares them.
+    const std::size_t m = thr > 0 ? thr : 64;
+    const auto small = [&](std::uint64_t seed) {
+      std::set<Key> s;
+      pwf::Rng rng(seed);
+      while (s.size() < m)  // half of them already present
+        s.insert(s.size() % 2 == 0 ? u[rng.below(u.size())]
+                                   : rng.range(0, 1 << 22));
+      return std::vector<Key>(s.begin(), s.end());
+    };
+    const auto s1 = small(104), s2 = small(105), s3 = small(106),
+               s4 = small(107);
+    std::set<Key> ref(u.begin(), u.end());
+    ref.insert(s1.begin(), s1.end());
+    for (Key k : s2) ref.erase(k);
+    rec::TreapCell* r2 = rec::diff_treaps(
+        ex, st, rec::union_treaps(ex, st, uc, st.input(st.build(s1))),
+        st.input(st.build(s2)));
+    ok &= rec::treap_inorder(r2) == std::vector<Key>(ref.begin(), ref.end());
+    std::vector<Key> s3_minus, d_and_s4;
+    std::set_difference(s3.begin(), s3.end(), ref.begin(), ref.end(),
+                        std::back_inserter(s3_minus));
+    std::set_intersection(d.begin(), d.end(), s4.begin(), s4.end(),
+                          std::back_inserter(d_and_s4));
+    ok &= rec::treap_inorder(rec::diff_treaps(
+              ex, st, st.input(st.build(s3)), r2)) == s3_minus;
+    ok &= rec::treap_inorder(rec::intersect_treaps(
+              ex, st, dc, st.input(st.build(s4)))) == d_and_s4;
   }
   // Storage epoch: compact the union result into a fresh store, then keep
   // operating on it. The old store's trace actions stay in epoch 0, the new
@@ -263,19 +296,42 @@ bool run_aug_map(std::size_t cap, std::size_t thr, const Config& cfg) {
     ok &= items_of(rec::diff_aug_maps(ex, st, st.input(st.build(a)),
                                       st.input(st.build(b)))) ==
           std::vector<std::pair<Key, std::int64_t>>(d_ref.begin(), d_ref.end());
-    // Range aggregates on the union result against a sequential fold.
-    const Key first = u_ref.begin()->first;
-    const Key last = u_ref.rbegin()->first;
-    const Key mid = std::next(u_ref.begin(), u_ref.size() / 2)->first;
-    for (const auto& [lo, hi] : {std::pair<Key, Key>{first, last},
-                                 {first, mid},
-                                 {mid, last},
-                                 {last + 1, last + 100}}) {
-      std::int64_t fold = 0;
-      for (const auto& [k, v] : u_ref)
-        if (k >= lo && k <= hi) fold += v;
-      ok &= pwf::pipelined::treap::aggregate(uc, lo, hi, rpeek) == fold;
-    }
+    // Range aggregates against a sequential fold.
+    const auto check_ranges = [&](rec::AugMapCell* c,
+                                  const std::map<Key, std::int64_t>& ref) {
+      const Key first = ref.begin()->first;
+      const Key last = ref.rbegin()->first;
+      const Key mid = std::next(ref.begin(), ref.size() / 2)->first;
+      for (const auto& [lo, hi] : {std::pair<Key, Key>{first, last},
+                                   {first, mid},
+                                   {mid, last},
+                                   {last + 1, last + 100}}) {
+        std::int64_t fold = 0;
+        for (const auto& [k, v] : ref)
+          if (k >= lo && k <= hi) fold += v;
+        ok &= pwf::pipelined::treap::aggregate(c, lo, hi, rpeek) == fold;
+      }
+    };
+    check_ranges(uc, u_ref);
+
+    // A small batch (at most the threshold's keys) upserted into the
+    // computed union, then a small batch erased: the results share the
+    // union's untouched cells and compute their aggregates inline.
+    const std::size_t m = thr > 0 ? thr : 64;
+    const auto s1 = make_items(m, 603);
+    std::vector<std::pair<Key, std::int64_t>> s2;  // m keys of the union
+    std::size_t idx = 0;
+    for (const auto& [k, v] : u_ref)
+      if (idx++ % (u_ref.size() / m + 1) == 0) s2.emplace_back(k, 0);
+    std::map<Key, std::int64_t> ref = u_ref;
+    for (const auto& [k, v] : s1) ref[k] += v;
+    for (const auto& [k, v] : s2) ref.erase(k);
+    rec::AugMapCell* r2 = rec::diff_aug_maps(
+        ex, st, rec::union_aug_maps(ex, st, uc, st.input(st.build(s1))),
+        st.input(st.build(s2)));
+    ok &= items_of(r2) ==
+          std::vector<std::pair<Key, std::int64_t>>(ref.begin(), ref.end());
+    check_ranges(r2, ref);
   }
   ok &= eng.aug_ops() > 0;  // aug maintenance must appear in the trace
   if (!ok) std::fprintf(stderr, "FAIL %s: result mismatch\n", what.c_str());
