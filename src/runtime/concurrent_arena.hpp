@@ -8,8 +8,19 @@
 // fetch_add survives only on the refill path and for large/over-aligned
 // blocks. No per-node deallocation — the store owning the arena is released
 // whole, like the cost-model arenas.
+//
+// A released arena's chunks go to a process-wide cache, and a new arena
+// takes a cached chunk of the size it asks for before it allocates one.
+// malloc would keep a freed chunk in the heap of whichever thread had
+// allocated it, so the resident size of a process that replaces a large
+// index would depend on which worker happened to grow an arena. With the
+// cache the replacement takes over its predecessor's chunks, whose pages
+// are already faulted in.
 #pragma once
 
+#include <sanitizer/asan_interface.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -31,11 +42,27 @@ class ConcurrentArena {
   // are 32 * 16 = 512 bytes, the boundary case).
   static constexpr std::size_t kSpanBytes = 8192;
   static constexpr std::size_t kMaxSpanAlloc = 512;
+  // The chunk cache holds at most twice the bytes of the largest arena
+  // released so far, and never more than this. compact() builds a store's
+  // successor while the store, or a snapshot that pins it, is still alive,
+  // so that is room for two generations of a store to pass their chunks
+  // on. The chunks of many small stores go back to malloc, which reuses
+  // them across sizes. The oldest cached chunks go back first.
+  static constexpr std::size_t kMaxCacheBytes = std::size_t{256} << 20;
 
   explicit ConcurrentArena(std::size_t chunk_bytes = 1 << 20)
       : id_(s_next_id.fetch_add(1, std::memory_order_relaxed)),
         chunk_bytes_(chunk_bytes) {
     install_chunk(chunk_bytes_);
+  }
+
+  // Lets the cache hold this arena's chunks, which the members' destructors
+  // release into it next.
+  ~ConcurrentArena() {
+    ChunkCache& c = cache();
+    std::lock_guard<std::mutex> lk(c.mutex);
+    c.limit =
+        std::max(c.limit, std::min(2 * bytes_reserved(), kMaxCacheBytes));
   }
 
   ConcurrentArena(const ConcurrentArena&) = delete;
@@ -83,9 +110,84 @@ class ConcurrentArena {
     std::size_t size = 0;
     std::atomic<std::size_t> cursor{0};
     ~Chunk() {
-      ::operator delete(data, std::align_val_t{kLineBytes});
+      if (data != nullptr) release_chunk(data, size);
     }
   };
+
+  // A cached chunk is linked through its first bytes, so caching one never
+  // allocates.
+  struct CachedChunk {
+    CachedChunk* newer;
+    CachedChunk* older;
+    std::size_t size;
+  };
+  struct ChunkCache {
+    std::mutex mutex;
+    CachedChunk* newest = nullptr;  // guarded by mutex
+    CachedChunk* oldest = nullptr;  // guarded by mutex
+    std::size_t bytes = 0;          // guarded by mutex
+    std::size_t limit = 0;          // guarded by mutex
+
+    void unlink(CachedChunk* n) {
+      (n->newer != nullptr ? n->newer->older : newest) = n->older;
+      (n->older != nullptr ? n->older->newer : oldest) = n->newer;
+      bytes -= n->size;
+    }
+  };
+  // Leaked intentionally: an arena may be released during static teardown.
+  static ChunkCache& cache() {
+    static ChunkCache* c = new ChunkCache;
+    return *c;
+  }
+
+  // The most recently cached chunk of exactly `size` bytes, or a new one.
+  static std::byte* acquire_chunk(std::size_t size) {
+    ChunkCache& c = cache();
+    {
+      std::lock_guard<std::mutex> lk(c.mutex);
+      for (CachedChunk* n = c.newest; n != nullptr; n = n->older) {
+        if (n->size != size) continue;
+        c.unlink(n);
+        ASAN_UNPOISON_MEMORY_REGION(n, size);
+        return reinterpret_cast<std::byte*>(n);
+      }
+    }
+    return static_cast<std::byte*>(
+        ::operator new(size, std::align_val_t{kLineBytes}));
+  }
+
+  // Caches the chunk, handing the oldest cached ones back to malloc to make
+  // room. Under AddressSanitizer a cached chunk stays poisoned past its
+  // link, so a read through a released arena is still reported.
+  static void release_chunk(std::byte* data, std::size_t size) {
+    ChunkCache& c = cache();
+    CachedChunk* evicted = nullptr;  // linked through `older`
+    {
+      std::lock_guard<std::mutex> lk(c.mutex);
+      if (size >= sizeof(CachedChunk) && size <= c.limit) {
+        while (c.bytes + size > c.limit) {
+          CachedChunk* n = c.oldest;
+          c.unlink(n);
+          n->older = evicted;
+          evicted = n;
+        }
+        auto* n = ::new (data) CachedChunk{nullptr, c.newest, size};
+        (c.newest != nullptr ? c.newest->newer : c.oldest) = n;
+        c.newest = n;
+        c.bytes += size;
+        ASAN_POISON_MEMORY_REGION(data + sizeof(CachedChunk),
+                                  size - sizeof(CachedChunk));
+        data = nullptr;
+      }
+    }
+    if (data != nullptr) ::operator delete(data, std::align_val_t{kLineBytes});
+    while (evicted != nullptr) {
+      CachedChunk* next = evicted->older;
+      ASAN_UNPOISON_MEMORY_REGION(evicted, evicted->size);
+      ::operator delete(evicted, std::align_val_t{kLineBytes});
+      evicted = next;
+    }
+  }
 
   // A thread's private window into some arena's current chunk. Slots are
   // validated by arena id — ids are process-monotonic and never reused, so
@@ -163,8 +265,7 @@ class ConcurrentArena {
 
   void install_chunk(std::size_t size) {
     auto c = std::make_unique<Chunk>();
-    c->data = static_cast<std::byte*>(
-        ::operator new(size, std::align_val_t{kLineBytes}));
+    c->data = acquire_chunk(size);
     c->size = size;
     bytes_reserved_.fetch_add(size, std::memory_order_relaxed);
     chunks_.push_back(std::move(c));

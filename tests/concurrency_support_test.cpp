@@ -2,7 +2,9 @@
 // rests on: the lock-free bump allocator and the big-stack runner.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -65,6 +67,29 @@ TEST(ConcurrentArena, AlignmentRespected) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
         << "align " << align;
   }
+}
+
+TEST(ConcurrentArena, ReleasedChunkIsReusedBySameSize) {
+  // A chunk size no other arena in this process asks for. A fresh arena's
+  // first allocation starts its first chunk.
+  constexpr std::size_t kChunk = (1 << 16) + 4096;
+  std::uintptr_t first = 0;
+  {
+    rt::ConcurrentArena arena(kChunk);
+    first = reinterpret_cast<std::uintptr_t>(arena.allocate(64, 64));
+  }
+  // The chunk did not go back to malloc: a block of the same size taken
+  // meanwhile does not get it, the next arena of that size does.
+  void* block = ::operator new(kChunk, std::align_val_t{64});
+  EXPECT_NE(reinterpret_cast<std::uintptr_t>(block), first);
+  {
+    rt::ConcurrentArena arena(kChunk);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(arena.allocate(64, 64)),
+              first);
+  }
+  rt::ConcurrentArena other(kChunk + 4096);
+  EXPECT_NE(reinterpret_cast<std::uintptr_t>(other.allocate(64, 64)), first);
+  ::operator delete(block, std::align_val_t{64});
 }
 
 TEST(BigStack, RunsAndReturns) {
