@@ -3,13 +3,14 @@
 // over 1..hardware threads, against the strict fork-join baselines and tight
 // sequential oracles.
 //
-// Unlike E13 (which constructs a Scheduler inside the timed loop and so pays
-// a fixed thread-spawn floor per iteration), this harness keeps the Scheduler
-// alive across repetitions, builds the input trees once per configuration
-// (cells are write-once and inputs are only read, so they are safely reused),
-// and times only algorithm + join. Results go to a JSON file (--out) for the CI smoke job
-// and offline plotting; verdict lines cover result correctness and the
-// headline ≥1.5× merge-throughput claim against the pinned E13 baseline.
+// Unlike the retired E13 (which constructed a Scheduler inside the timed
+// loop and so paid a fixed thread-spawn floor per iteration), this harness
+// keeps the Scheduler alive across repetitions, builds the input trees once
+// per configuration (cells are write-once and inputs are only read, so they
+// are safely reused), and times only algorithm + join. Results go to a JSON
+// file (--out) for the CI smoke job and offline plotting; verdict lines
+// cover result correctness and the headline ≥1.5× merge-throughput claim
+// against the pinned E13 baseline.
 //
 // Flags: --smoke (tiny sizes, 2 reps), --out=FILE, --reps=N, --max_threads=N.
 #include <algorithm>
@@ -32,7 +33,8 @@ using namespace pwf;
 
 namespace {
 
-// The E13 single-thread merge(4096) measurement this PR optimises against.
+// The last E13 single-thread merge(4096) measurement (1-core host), kept as
+// a recorded reference now that E13 is retired.
 constexpr double kE13MergeBaselineMs = 2.52;
 constexpr double kTargetSpeedup = 1.5;
 

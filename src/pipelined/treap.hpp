@@ -236,7 +236,9 @@ class Store {
   // otherwise construction is the O(n) right-spine (Cartesian tree) method.
   Node<P, E>* build(std::span<const Key> keys) {
     std::vector<Key> sorted(keys.begin(), keys.end());
-    std::sort(sorted.begin(), sorted.end());
+    // Service batches arrive sorted already; checking is O(n).
+    if (!std::is_sorted(sorted.begin(), sorted.end()))
+      std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
     if constexpr (P::kMaxLeafCapacity > 0) {

@@ -1,0 +1,635 @@
+// rt::Index<E> — the pipelined batch service over one runtime treap, for
+// any entry policy E of pipelined/treap_entry.hpp. ParallelSet (SetEntry)
+// and ParallelMap<V, A> (MapEntry<V>, optionally augmented) are aliases of
+// it; docs/service.md has the full contract.
+//
+// Each batch is one parallel treap union / difference / intersection
+// (Sections 3.2–3.3 of the paper) executed on the coroutine futures
+// runtime, rather than m sequential updates. Batches are asynchronous and
+// pipelined across operations: a mutator chains its treap op onto the
+// current root cell — which may still be materializing — and returns
+// immediately. Successive batches overlap exactly as `union(union(t, b1),
+// b2)` does inside the paper's algorithms. Quiescence is explicit
+// (`flush()`) or implied by the whole-tree reads (`size()` when stale,
+// `keys()`/`items()`, `height()`); point reads (`contains`, `get`) force
+// only the cells along their search path, so they run concurrently with
+// in-flight batches and see the newest root published before they started.
+//
+// Map entries resolve a key collision with a value-merge function (sum for
+// counters, last-writer-wins for stores, ...). An augmented entry (an
+// AugOps policy like pipelined::treap::SumAug<V>) maintains A::combine over
+// every subtree, so `aggregate(lo, hi)` forces only O(lg n) cells
+// (docs/augmentation.md). Members whose signature depends on the entry are
+// `requires`-constrained; every other member is one body for all entries.
+//
+// Thread contract: one mutator thread at a time (batches chain through a
+// single root, like any sequential API); any number of concurrent reader
+// threads. `compact()` may run concurrently with readers: reads announce
+// themselves through a seq_cst reader count before loading the root, and
+// compact publishes the fresh root before spinning the count down to zero —
+// so a reader either sees the new root or finishes on the old store before
+// it is freed. Snapshots and the async walks pin their epoch's stores by
+// shared_ptr instead (refcounted epoch retirement) and read lock-free.
+//
+// The index borrows a Scheduler (one scheduler per process may be alive;
+// see runtime/scheduler.hpp) and owns its node storage. Values must be
+// trivially copyable and default constructible: they travel through future
+// cells and arena nodes, like every value in the paper's model.
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <span>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "runtime/rt_async.hpp"
+#include "runtime/rt_map.hpp"
+#include "runtime/scheduler.hpp"
+#include "support/check.hpp"
+
+#if PWF_ANALYZE
+#include "analyze/rt_recorder.hpp"
+#endif
+
+namespace pwf::rt {
+
+// Service-layer observability (relaxed counters, like Scheduler::Stats).
+struct IndexStats {
+  std::uint64_t batches = 0;      // batch mutators issued
+  std::uint64_t overlapped = 0;   // issued while the root was still materializing
+  std::uint64_t max_pending = 0;  // high-water mark of unflushed batches
+  std::uint64_t flushes = 0;      // quiescence points (explicit + implied)
+  std::uint64_t epochs = 0;       // compactions (store replacements)
+  std::uint64_t arena_bytes = 0;  // current store footprint
+};
+
+// Software cache-economy of the current tree (docs/storage.md): storage
+// composition plus arena footprint, for the E19/E24 columns.
+struct IndexCacheEconomy {
+  std::uint64_t internal_nodes = 0;  // one cache line each
+  std::uint64_t leaf_chunks = 0;     // flat sorted runs
+  std::uint64_t leaf_keys = 0;       // keys living inside chunks
+  std::uint64_t leaf_ops = 0;        // chunk merges/splits on this store
+  std::uint64_t arena_bytes = 0;     // store footprint
+  std::uint64_t wasted_padding = 0;  // arena alignment + dead-tail waste
+};
+
+// Overwrite merge: the incoming value wins (assign_batch).
+struct LastWins {
+  template <typename V>
+  V operator()(const V&, const V& incoming) const {
+    return incoming;
+  }
+};
+
+namespace detail {
+
+// Sorted, duplicate-free copy of a key batch.
+inline std::vector<map::Key> sorted_keys(std::span<const map::Key> keys) {
+  std::vector<map::Key> out(keys.begin(), keys.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+// Key-sorted copy of an item batch, each run of equal keys pre-merged with
+// `merge` in sorted order.
+template <typename Item, typename Merge>
+std::vector<Item> sorted_items(std::span<const Item> items, Merge merge) {
+  std::vector<Item> out(items.begin(), items.end());
+  std::sort(out.begin(), out.end(),
+            [](const Item& x, const Item& y) { return x.first < y.first; });
+  std::size_t n = 0;
+  for (const Item& it : out) {
+    if (n > 0 && out[n - 1].first == it.first)
+      out[n - 1].second = merge(out[n - 1].second, it.second);
+    else
+      out[n++] = it;
+  }
+  out.resize(n);
+  return out;
+}
+
+}  // namespace detail
+
+template <typename E>
+class Index;
+template <typename I>
+class Sharded;
+
+// Snapshot<E> — an immutable, epoch-pinned view of an Index (SetSnapshot,
+// MapSnapshot<V, A>). It holds shared_ptrs to the stores of the epoch it
+// was taken in, so its nodes stay alive across any number of later
+// compact() calls. Reads are lock-free: no reader count, no mutex — the
+// root cell is fixed and every reachable cell is written exactly once, so
+// traversal waits on cells at most (a batch chained before the snapshot may
+// still be materializing) and is plain loads afterwards.
+template <typename E>
+class Snapshot {
+ public:
+  using Key = map::Key;
+  using Item = map::Item<E>;
+
+  // Point reads force only the search path; the rest force the whole tree.
+  bool contains(Key k) const {
+    return map::lookup_wait(pin_.root, k).has_value();
+  }
+  std::optional<typename E::Value> get(Key k) const
+    requires(E::kHasValue)
+  {
+    return map::lookup_wait(pin_.root, k);
+  }
+  std::size_t size() const { return map::wait_count(pin_.root); }
+  std::vector<Key> keys() const
+    requires(!E::kHasValue)
+  {
+    return map::wait_items(pin_.root);
+  }
+  std::vector<Item> items() const
+    requires(E::kHasValue)
+  {
+    return map::wait_items(pin_.root);
+  }
+  // Range aggregate over keys in [lo, hi]: O(lg n) forced cells, combined
+  // in key order.
+  auto aggregate(Key lo, Key hi) const
+    requires(E::kHasAug)
+  {
+    return map::aggregate_wait(pin_.root, lo, hi);
+  }
+
+ private:
+  friend class Index<E>;
+  explicit Snapshot(rtasync::Pinned<map::StoreOf<E>, map::CellOf<E>> pin)
+      : pin_(std::move(pin)) {}
+
+  rtasync::Pinned<map::StoreOf<E>, map::CellOf<E>> pin_;
+};
+
+template <typename E>
+class Index {
+ public:
+  using Entry = E;
+  using Key = map::Key;
+  using Value = typename E::Value;
+  using Item = map::Item<E>;  // a key for key-only entries, else (key, value)
+  using Store = map::StoreOf<E>;
+  using Cell = map::CellOf<E>;
+  using Pin = rtasync::Pinned<Store, Cell>;
+  using Stats = IndexStats;
+  using CacheEconomy = IndexCacheEconomy;
+  static constexpr bool kMap = E::kHasValue;
+  static constexpr bool kAug = E::kHasAug;
+
+  explicit Index(Scheduler& sched,
+                 std::uint64_t salt = pipelined::treap::kDefaultSalt,
+                 std::size_t leaf_cap = map::kDefaultLeafCapacity)
+      : sched_(sched),
+        salt_(salt),
+        leaf_cap_(leaf_cap),
+        store_(std::make_shared<Store>(salt, leaf_cap)),
+        root_(store_->input(nullptr)) {}
+
+  // Initial contents (cheaper than insert_batch on an empty set).
+  Index(Scheduler& sched, std::span<const Key> keys,
+        std::uint64_t salt = pipelined::treap::kDefaultSalt,
+        std::size_t leaf_cap = map::kDefaultLeafCapacity)
+    requires(!kMap)
+      : sched_(sched),
+        salt_(salt),
+        leaf_cap_(leaf_cap),
+        store_(std::make_shared<Store>(salt, leaf_cap)),
+        root_(nullptr) {
+    const std::vector<Key> sorted = detail::sorted_keys(keys);
+    size_.store(sorted.size(), std::memory_order_relaxed);
+    root_.store(store_->input(store_->build(sorted)),
+                std::memory_order_release);
+  }
+
+  Index(const Index&) = delete;
+  Index& operator=(const Index&) = delete;
+
+  // Fibers of a chained batch may still run (or park) after every cell of
+  // the result tree is written — their outputs just aren't part of it — and
+  // they read this index's arena until they finish, so the store may only
+  // be freed at frame-pool quiescence. After ~Scheduler no worker can drain
+  // them (fibers still queued at shutdown were dropped), so waiting would
+  // hang: the index is torn down as-is. An absorbed husk skips the wait
+  // too — the surviving shard owns its in-flight work now.
+  ~Index() {
+    if (released_) return;
+    if (Scheduler::current() != nullptr) FramePool::wait_quiescent();
+    drop_pending();
+  }
+
+  // ---- batch mutators -------------------------------------------------------
+  //
+  // One pipelined treap op each, chained onto the (possibly still
+  // materializing) root; they return without joining. Input need not be
+  // sorted. Duplicate keys within a batch are dropped (sets) or pre-merged
+  // with the same function (maps); a key already present gets
+  // merge(old, new).
+
+  void insert_batch(std::span<const Key> keys)  // set = set ∪ keys
+    requires(!kMap)
+  {
+    if (!keys.empty()) union_batch([=] { return detail::sorted_keys(keys); });
+  }
+  template <typename Merge>
+  void insert_batch(std::span<const Item> items, Merge merge)
+    requires(kMap)
+  {
+    if (items.empty()) return;
+    union_batch([=] { return detail::sorted_items(items, merge); }, merge);
+  }
+  void assign_batch(std::span<const Item> items)
+    requires(kMap)
+  {
+    insert_batch(items, LastWins{});
+  }
+  void erase_batch(std::span<const Key> keys) {  // index \ keys
+    if (!keys.empty()) diff_batch([=] { return detail::sorted_keys(keys); });
+  }
+  void retain_batch(std::span<const Key> keys)  // set = set ∩ keys
+    requires(!kMap)
+  {
+    intersect_batch([=] { return detail::sorted_keys(keys); });
+  }
+
+  // ---- quiescence, epochs, snapshots ----------------------------------------
+
+  // Blocks until every pending batch has fully materialized, and refreshes
+  // the cached size. const: logically a read (all mutable state is
+  // cache/accounting).
+  void flush() const {
+    const std::size_t n = read(map::wait_count<E>);
+    size_.store(n, std::memory_order_relaxed);
+    size_valid_.store(true, std::memory_order_relaxed);
+    drop_pending();
+    flushes_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // Async quiescence — the server-side flush (docs/service.md): spawns a
+  // fiber that co_awaits every cell of the current epoch-pinned tree and
+  // then writes `done`, so a server fiber can await quiescence without
+  // blocking its worker thread. Observational only: counts a flush but
+  // leaves pending/size accounting to the blocking paths — `done` covers
+  // every batch chained before this call, none chained after it.
+  void on_flush(FutCell<int>& done) const {
+    spawn(rtasync::quiesce_fiber(std::vector<Pin>{pinned()}, &done));
+    flushes_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // The epoch pin the async walks and snapshots travel with; O(1).
+  Pin pinned() const {
+    std::lock_guard<std::mutex> lk(snap_mu_);
+    return Pin{store_, keep_alive_, root_.load(std::memory_order_seq_cst)};
+  }
+
+  // Pins the current epoch and root into an immutable lock-free view. May
+  // be called from any reader thread; the snapshot stays valid (and its
+  // reads race-free) across later batches and compactions — the pinned
+  // stores retire only when the last snapshot holding them drops.
+  Snapshot<E> snapshot() const { return Snapshot<E>(pinned()); }
+
+  // Quiescence + storage epoch: rebuilds the index into a fresh chunked
+  // store and frees every node superseded by past batches (the arena is
+  // monotonic, so a long-lived service must compact periodically). Safe
+  // against concurrent readers (see the thread contract above); still a
+  // mutator — one at a time, not concurrent with batch calls.
+  void compact() {
+    const std::vector<Item> contents = entries();  // forces pending batches
+    // Forcing the result tree is not fiber quiescence: stragglers whose
+    // outputs aren't in the final tree still read the old arena.
+    FramePool::wait_quiescent();
+    auto fresh = std::make_shared<Store>(salt_, leaf_cap_);
+    Cell* next = fresh->input(fresh->build(contents));
+    // Dekker publish: the seq_cst store is ordered against every reader's
+    // seq_cst announce. A reader that loaded the old root has incremented
+    // active_readers_ before this store, so the drain loop below observes
+    // it; a reader announcing later is guaranteed to load the fresh root.
+    // The (store_, root_) pair is swapped under snap_mu_ so pinned() never
+    // pairs a root with the wrong epoch's store.
+    std::shared_ptr<Store> old;
+    std::vector<std::shared_ptr<const Store>> merged;
+    {
+      std::lock_guard<std::mutex> lk(snap_mu_);
+      root_.store(next, std::memory_order_seq_cst);
+      old = std::exchange(store_, std::move(fresh));
+      merged = std::exchange(keep_alive_, {});
+    }
+    while (active_readers_.load(std::memory_order_seq_cst) != 0)
+      std::this_thread::yield();
+    // Refcounted epoch retirement: frees every superseded node and cell now
+    // — including arenas of shards absorbed by adaptive merges — unless a
+    // live snapshot or async walk still pins the old epoch.
+    old.reset();
+    merged.clear();
+    size_.store(contents.size(), std::memory_order_relaxed);
+    size_valid_.store(true, std::memory_order_relaxed);
+    drop_pending();
+    epochs_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // ---- reads ----------------------------------------------------------------
+
+  // Point reads force only the search path (paper-style: a consumer
+  // descends into a tree whose producer may still be writing it).
+  bool contains(Key k) const {
+    return read([k](Cell* r) { return map::lookup_wait(r, k).has_value(); });
+  }
+  std::optional<Value> get(Key k) const
+    requires(kMap)
+  {
+    return read([k](Cell* r) { return map::lookup_wait(r, k); });
+  }
+
+  // Async point read: forces only the O(lg n) search-path cells with a
+  // parked fiber and writes the Probe into `out` (E27's pipelined reply
+  // path). Pipelines with in-flight batches like get(), without blocking.
+  void probe_into(Key k, FutCell<rtasync::Probe<Value>>& out) const
+    requires(kMap)
+  {
+    spawn(rtasync::probe_fiber(pinned(), k, &out));
+  }
+
+  // Range aggregate over keys in [lo, hi] on the live root: O(lg n) forced
+  // cells, combine applied in key order.
+  auto aggregate(Key lo, Key hi) const
+    requires(kAug)
+  {
+    return read([=](Cell* r) { return map::aggregate_wait(r, lo, hi); });
+  }
+
+  std::size_t size() const {  // lazily maintained; recounts only when stale
+    if (!size_valid_.load(std::memory_order_acquire)) flush();
+    return size_.load(std::memory_order_relaxed);
+  }
+  bool empty() const { return size() == 0; }
+
+  // In key order; these force the whole tree.
+  std::vector<Key> keys() const
+    requires(!kMap)
+  {
+    return entries();
+  }
+  std::vector<Item> items() const
+    requires(kMap)
+  {
+    return entries();
+  }
+  int height() const {
+    return read(
+        [](Cell* r) { return pipelined::treap::height_of(r, map::kWait); });
+  }
+
+  Stats stats() const {
+    Stats s;
+    s.batches = batches_.load(std::memory_order_relaxed);
+    s.overlapped = overlapped_.load(std::memory_order_relaxed);
+    s.max_pending = max_pending_.load(std::memory_order_relaxed);
+    s.flushes = flushes_.load(std::memory_order_relaxed);
+    s.epochs = epochs_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lk(snap_mu_);
+    s.arena_bytes = store_->bytes_used();
+    for (const auto& ka : keep_alive_) s.arena_bytes += ka->bytes_used();
+    return s;
+  }
+
+  // Forces the whole tree. Walks a pin, so the store it reports on is the
+  // one the walked root lives in, even across a concurrent compact().
+  CacheEconomy cache_economy() const {
+    const Pin p = pinned();
+    const map::CacheEconomy ce = map::cache_economy(p.root);
+    CacheEconomy out;
+    out.internal_nodes = ce.internal_nodes;
+    out.leaf_chunks = ce.leaf_chunks;
+    out.leaf_keys = ce.leaf_keys;
+    out.leaf_ops = p.store->leaf_ops();
+    out.arena_bytes = p.store->bytes_used();
+    out.wasted_padding = p.store->wasted_padding();
+    return out;
+  }
+
+  // ---- adaptive-sharding rebalance protocol (docs/service.md) --------------
+  //
+  // Mutator-class calls used by the contention-adaptive rebalancer of
+  // rt::Sharded. Both halves of a split and a merge are pipelined treap ops
+  // chained like any batch: they return immediately and materialize on the
+  // scheduler, overlapping in-flight batches.
+
+  // Phase 1 of a split: forks a pipelined split at `pivot` and returns a new
+  // index owning the keys >= pivot (sharing this index's store and salt, so
+  // node priorities stay consistent across future joins). This index keeps
+  // answering from the *full* pre-split tree until complete_split()
+  // installs the < pivot root — the caller republishes its routing table in
+  // between, so no reader routed by the old table can miss a key.
+  std::unique_ptr<Index> split_off(Key pivot) {
+    PWF_CHECK_MSG(split_pending_ == nullptr,
+                  "split_off before the previous split completed");
+    Cell* cur = root_.load(std::memory_order_acquire);
+    Cell* less = store_->cell();
+    Cell* geq = store_->cell();
+    map::split_maps(*store_, cur, pivot, less, geq);
+    auto right = std::unique_ptr<Index>(
+        new Index(sched_, store_, geq, salt_, leaf_cap_));
+    {
+      // The >= half can reference nodes from every store this index keeps
+      // alive (past merges), so the new shard pins them too.
+      std::lock_guard<std::mutex> lk(snap_mu_);
+      right->keep_alive_ = keep_alive_;
+    }
+    right->account_chain();
+    split_pending_ = less;
+    return right;
+  }
+
+  // Phase 2: publish the keys-below-pivot root computed by split_off().
+  void complete_split() {
+    PWF_CHECK_MSG(split_pending_ != nullptr,
+                  "complete_split without a pending split_off");
+    account_chain();
+    std::lock_guard<std::mutex> lk(snap_mu_);
+    root_.store(std::exchange(split_pending_, nullptr),
+                std::memory_order_release);
+  }
+
+  // Concatenates `right` — every key of which must be >= every key of this
+  // index (adjacent shard ranges) — onto this pipeline with a pipelined
+  // join. `right` becomes an absorbed husk: its store is kept alive by this
+  // index until the next compact(), its counters fold into this index's,
+  // and its destructor skips quiescence (this pipeline owns the in-flight
+  // work now). The caller destroys the husk once no reader can still route
+  // to it.
+  void absorb(Index& right) {
+    PWF_CHECK_MSG(&right != this && !right.released_, "bad absorb operand");
+    PWF_CHECK_MSG(split_pending_ == nullptr && right.split_pending_ == nullptr,
+                  "absorb during an incomplete split");
+    Cell* a = root_.load(std::memory_order_acquire);
+    Cell* b = right.root_.load(std::memory_order_acquire);
+    // The join allocates in *this* store; right's arena (plus anything it
+    // kept alive) stays pinned below until compact() rebuilds.
+    Cell* out = map::join_maps(*store_, a, b);
+    account_chain();
+    {
+      std::lock_guard<std::mutex> lk(snap_mu_);
+      keep_alive_.push_back(right.store_);
+      keep_alive_.insert(keep_alive_.end(), right.keep_alive_.begin(),
+                         right.keep_alive_.end());
+      root_.store(out, std::memory_order_release);
+    }
+    // Fold the husk's counters into the surviving pipeline: transferring
+    // pending keeps the analyze-mode chained/flushed ledger balanced.
+    batches_.fetch_add(right.batches_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+    overlapped_.fetch_add(right.overlapped_.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+    flushes_.fetch_add(right.flushes_.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+    epochs_.fetch_add(right.epochs_.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
+    raise_max_pending(right.max_pending_.load(std::memory_order_relaxed));
+    pending_.fetch_add(right.pending_.exchange(0, std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+    right.released_ = true;
+  }
+
+  // Unflushed batch depth of this pipeline (adaptive heat stats).
+  std::uint64_t pending() const {
+    return pending_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  template <typename>
+  friend class Sharded;
+
+  // Shares an existing store: the >= pivot half made by split_off().
+  Index(Scheduler& sched, std::shared_ptr<Store> store, Cell* root,
+        std::uint64_t salt, std::size_t leaf_cap)
+      : sched_(sched),
+        salt_(salt),
+        leaf_cap_(leaf_cap),
+        store_(std::move(store)),
+        root_(root) {
+    size_valid_.store(false, std::memory_order_relaxed);
+  }
+
+  // The batch ops, shared with the router. `sorted()` yields the batch
+  // key-sorted and duplicate-free (keys, or items for a union on a map).
+  template <typename Sorted, typename Merge = pipelined::treap::FirstWins>
+  void union_batch(Sorted sorted, Merge merge = {}) {
+    chain_batch(sorted, [&](Store& st, Cell* cur, Cell* b) {
+      return map::union_maps(st, cur, b, merge);
+    });
+  }
+  template <typename Sorted>
+  void diff_batch(Sorted sorted) {
+    chain_batch(sorted, map::diff_maps<E>);
+  }
+  template <typename Sorted>
+  void intersect_batch(Sorted sorted) {
+    chain_batch(sorted, map::intersect_maps<E>);
+  }
+
+  // Chains `op(store, root, batch treap)` onto the current root and
+  // publishes its result. The overlap check precedes sorting: a batch
+  // overlaps when its call finds the previous one still materializing.
+  template <typename Sorted, typename Op>
+  void chain_batch(Sorted sorted, Op op) {
+    Cell* cur = root_.load(std::memory_order_acquire);
+    if (!cur->written()) overlapped_.fetch_add(1, std::memory_order_relaxed);
+    Cell* next = op(*store_, cur, store_->input(store_->build(sorted())));
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    account_chain();
+    // Publish after the accounting so a reader that sees the new root also
+    // sees size_valid_ == false.
+    root_.store(next, std::memory_order_release);
+  }
+
+  // The pending/size bookkeeping of a chained op (rebalance ops account
+  // here too: they are pipeline work, not batches).
+  void account_chain() {
+#if PWF_ANALYZE
+    analyze::note_pipeline_chained();
+#endif
+    raise_max_pending(pending_.fetch_add(1, std::memory_order_relaxed) + 1);
+    size_valid_.store(false, std::memory_order_relaxed);
+  }
+
+  void raise_max_pending(std::uint64_t depth) {
+    std::uint64_t hw = max_pending_.load(std::memory_order_relaxed);
+    while (depth > hw && !max_pending_.compare_exchange_weak(
+                             hw, depth, std::memory_order_relaxed)) {
+    }
+  }
+
+  // Every chained op has materialized: clear the pending depth (and balance
+  // the analyze-mode chained/flushed ledger).
+  void drop_pending() const {
+#if PWF_ANALYZE
+    analyze::note_pipeline_flushed(
+        pending_.exchange(0, std::memory_order_relaxed));
+#else
+    pending_.store(0, std::memory_order_relaxed);
+#endif
+  }
+
+  // Runs `walk(root)` as an announced reader: the seq_cst increment is
+  // ordered against compact()'s seq_cst root publish, so either the root
+  // load (also seq_cst) sees the fresh root, or compact's drain loop sees
+  // the reader and keeps the old store alive until it leaves.
+  template <typename Walk>
+  auto read(Walk walk) const {
+    struct Guard {
+      std::atomic<std::uint64_t>& n;
+      explicit Guard(std::atomic<std::uint64_t>& c) : n(c) {
+        n.fetch_add(1, std::memory_order_seq_cst);
+      }
+      ~Guard() { n.fetch_sub(1, std::memory_order_release); }
+    } guard(active_readers_);
+    return walk(root_.load(std::memory_order_seq_cst));
+  }
+
+  // Every entry in key order, in the form Store::build takes back.
+  std::vector<Item> entries() const { return read(map::wait_items<E>); }
+
+  Scheduler& sched_;
+  std::uint64_t salt_;
+  std::size_t leaf_cap_;
+  // Replaced wholesale by compact(); shared so snapshots can pin an epoch.
+  std::shared_ptr<Store> store_;
+  // Stores of shards this index absorbed: the live tree references their
+  // nodes until compact() rebuilds into a fresh arena. Guarded by snap_mu_
+  // (stats()/pinned() read it while the mutator appends).
+  std::vector<std::shared_ptr<const Store>> keep_alive_;
+  // The < pivot root between split_off() and complete_split().
+  Cell* split_pending_ = nullptr;
+  // Set by absorb() on the absorbed husk: its in-flight work now belongs to
+  // the surviving pipeline, so the destructor must not wait for it.
+  bool released_ = false;
+  std::atomic<Cell*> root_;
+
+  // Pairs (store_, root_) for pinned() against compact()'s swap. Never held
+  // while waiting on cells, so pinned() is O(1).
+  mutable std::mutex snap_mu_;
+
+  // Readers in flight (seq_cst Dekker pair with compact()'s root publish).
+  mutable std::atomic<std::uint64_t> active_readers_{0};
+
+  mutable std::atomic<std::size_t> size_{0};
+  mutable std::atomic<bool> size_valid_{true};
+  mutable std::atomic<std::uint64_t> pending_{0};
+  mutable std::atomic<std::uint64_t> flushes_{0};
+  std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> overlapped_{0};
+  std::atomic<std::uint64_t> max_pending_{0};
+  std::atomic<std::uint64_t> epochs_{0};
+};
+
+}  // namespace pwf::rt

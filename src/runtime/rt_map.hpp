@@ -1,23 +1,21 @@
-// Key-value treap maps on the coroutine futures runtime — a thin
-// instantiation shim, exactly like rt_treap.hpp is for sets.
+// Runtime drivers for the treap bodies, one per operation and generic over
+// the entry policy: sets, maps and augmented maps all go through them
+// (rt::Index in index.hpp, and the rt_treap.hpp set shims forward here).
 //
 // The algorithm bodies live in src/pipelined/treap.hpp, parameterized on an
-// Entry policy: maps are the same coroutines as the paper's set treaps
-// instantiated with MapEntry<V> (key + value, union takes a Merge functor
-// for shared keys, difference ignores the second operand's values), and
-// augmented maps add a PAM-style aggregation policy A (AugEntry — every
-// node and leaf chunk maintains A::combine over its subtree; see
-// docs/augmentation.md). This header only names the runtime instantiations
-// and provides the drivers and blocking walks.
+// Entry policy (treap_entry.hpp): SetEntry is the paper's key-only treap,
+// MapEntry<V> adds a value (union takes a Merge functor for shared keys,
+// difference ignores the second operand's values), and AugEntry adds a
+// PAM-style aggregation policy A (every node and leaf chunk maintains
+// A::combine over its subtree; see docs/augmentation.md). This header only
+// names the runtime instantiations and provides the drivers and blocking
+// walks; E is always deduced from the store or cell.
 //
-// Storage is chunked like the set treaps (docs/storage.md): the shared
-// LeafEntryT grows a value column for maps; subtrees at or below the
-// store's leaf capacity are sorted flat (key, pri, value) arrays processed
-// by branch-free merge loops, and the fibers pipeline only the internal top
-// of the tree.
-//
-// Everything is templated on the value type V (trivially copyable, like all
-// cell-carried values in this runtime) and lives header-only.
+// Storage is chunked (docs/storage.md): subtrees at or below the store's
+// leaf capacity are sorted flat (key, pri[, value]) arrays processed by
+// branch-free merge loops, and the fibers pipeline only the internal top of
+// the tree. Values are trivially copyable, like all cell-carried values in
+// this runtime.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +37,20 @@ namespace pt = pipelined::treap;
 using Key = pt::Key;
 using Pri = pt::Pri;
 
-// Default flat-chunk capacity (same policy as the set treaps).
+// Default flat-chunk capacity (same policy for every entry).
 inline constexpr std::size_t kDefaultLeafCapacity = pt::kDefaultLeafCapacity;
+
+template <typename E>
+using StoreOf = pt::Store<pipelined::RtPolicy, E>;
+template <typename E>
+using CellOf = pt::Cell<pipelined::RtPolicy, E>;
+
+// One element of a batch or of a whole-tree walk: the key alone for
+// key-only entries, a (key, value) pair otherwise — the two forms
+// StoreOf<E>::build takes.
+template <typename E>
+using Item = std::conditional_t<E::kHasValue,
+                                std::pair<Key, typename E::Value>, Key>;
 
 // Map entry over value type V, optionally augmented with policy A (an
 // AugOps type like pt::SumAug<V>; void = unaugmented).
@@ -53,13 +63,10 @@ template <typename V, typename A = void>
 using Node = pt::Node<pipelined::RtPolicy, Entry<V, A>>;
 
 template <typename V, typename A = void>
-using Cell = FutCell<Node<V, A>*>;
+using Cell = CellOf<Entry<V, A>>;
 
 template <typename V, typename A = void>
-using LeafItem = pt::LeafEntryT<Entry<V, A>>;
-
-template <typename V, typename A = void>
-using Store = pt::Store<pipelined::RtPolicy, Entry<V, A>>;
+using Store = StoreOf<Entry<V, A>>;
 
 // Word-sized unaugmented payloads keep the node inside one cache line
 // (checked generically by Store; this spelling is the one CI's layout job
@@ -67,48 +74,50 @@ using Store = pt::Store<pipelined::RtPolicy, Entry<V, A>>;
 static_assert(sizeof(Node<std::int64_t>) <= 64,
               "map node with a word-sized payload must fit a cache line");
 
-using pt::is_leaf;
-
 // ---- drivers ---------------------------------------------------------------
 //
-// Generic over the Entry policy E so one driver serves plain and augmented
-// maps; E is deduced from the store.
+// Each forks its body and returns at once; the result materializes on the
+// scheduler. The batch ops park behind an unwritten left operand instead of
+// being posted (RtExec::fork_after).
 
-// Union with value merge: result value for a shared key k is
-// merge(value_in_a, value_in_b) — note the operand order is by *map*, not
-// by priority (the shared body's `flip` tracks priority swaps), so
-// asymmetric merges (e.g. "b overwrites a") behave as documented.
-template <typename E, typename Merge>
-pt::Cell<pipelined::RtPolicy, E>* union_maps(
-    pt::Store<pipelined::RtPolicy, E>& st,
-    pt::Cell<pipelined::RtPolicy, E>* a, pt::Cell<pipelined::RtPolicy, E>* b,
-    Merge merge) {
+// Union: a key in both operands gets merge(value_in_a, value_in_b) — the
+// operand order is by *map*, not by priority (the shared body's `flip`
+// tracks priority swaps), so asymmetric merges (e.g. "b overwrites a")
+// behave as documented. Sets take the default.
+template <typename E, typename Merge = pt::FirstWins>
+CellOf<E>* union_maps(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b,
+                      Merge merge = {}) {
   pipelined::RtExec ex;
-  auto* out = st.cell();
+  CellOf<E>* out = st.cell();
   ex.fork_after(a, pt::union_into(ex, st, a, b, out, merge));
   return out;
 }
 
 // Difference: drop the keys of `b` from `a` (b's values are irrelevant).
 template <typename E>
-pt::Cell<pipelined::RtPolicy, E>* diff_maps(
-    pt::Store<pipelined::RtPolicy, E>& st,
-    pt::Cell<pipelined::RtPolicy, E>* a, pt::Cell<pipelined::RtPolicy, E>* b) {
+CellOf<E>* diff_maps(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b) {
   pipelined::RtExec ex;
-  auto* out = st.cell();
+  CellOf<E>* out = st.cell();
   ex.fork_after(a, pt::diff_into(ex, st, a, b, out));
   return out;
 }
 
-// Rebalance primitives for the contention-adaptive sharded map facade,
-// mirroring rt::treap::split_treaps/join_treaps (docs/service.md).
+// Intersection: the keys of `a` that are also in `b`, with a's values.
+template <typename E>
+CellOf<E>* intersect_maps(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b) {
+  pipelined::RtExec ex;
+  CellOf<E>* out = st.cell();
+  ex.fork_after(a, pt::intersect_into(ex, st, a, b, out));
+  return out;
+}
+
+// Rebalance primitives of the contention-adaptive shards (docs/service.md);
+// both bump Scheduler::Stats rebalances.
 
 // Pipelined range split: keys < pivot into *outL, keys >= pivot into *outR.
 template <typename E>
-void split_maps(pt::Store<pipelined::RtPolicy, E>& st,
-                pt::Cell<pipelined::RtPolicy, E>* in, Key pivot,
-                pt::Cell<pipelined::RtPolicy, E>* outL,
-                pt::Cell<pipelined::RtPolicy, E>* outR) {
+void split_maps(StoreOf<E>& st, CellOf<E>* in, Key pivot, CellOf<E>* outL,
+                CellOf<E>* outR) {
   pipelined::RtExec ex;
   ex.fork(pt::split_at(ex, st, pivot, in, outL, outR));
   if (Scheduler* s = Scheduler::current()) s->note_rebalance();
@@ -116,11 +125,9 @@ void split_maps(pt::Store<pipelined::RtPolicy, E>& st,
 
 // Pipelined range-disjoint join: every key of `a` < every key of `b`.
 template <typename E>
-pt::Cell<pipelined::RtPolicy, E>* join_maps(
-    pt::Store<pipelined::RtPolicy, E>& st,
-    pt::Cell<pipelined::RtPolicy, E>* a, pt::Cell<pipelined::RtPolicy, E>* b) {
+CellOf<E>* join_maps(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b) {
   pipelined::RtExec ex;
-  auto* out = st.cell();
+  CellOf<E>* out = st.cell();
   ex.fork(pt::join_entry(ex, st, a, b, out));
   if (Scheduler* s = Scheduler::current()) s->note_rebalance();
   return out;
@@ -130,38 +137,43 @@ pt::Cell<pipelined::RtPolicy, E>* join_maps(
 //
 // All walks are the shared explicit-stack visitors of
 // pipelined/treap_walk.hpp with a wait_blocking (pipelining) or peek
-// (post-completion) force.
+// (post-completion) force. They run on the caller's stack and must not
+// recurse: a service-layer treap is arbitrarily chain-shaped while a
+// pipeline is mid-flight, and each forced cell parks the caller until its
+// producer publishes — the consumer pipelines with in-flight construction.
 
-namespace detail {
 inline constexpr auto kWait = [](auto* c) { return c->wait_blocking(); };
 inline constexpr auto kPeek = [](auto* c) { return c->peek(); };
-}  // namespace detail
 
-// Waits for every reachable cell; returns items in key order.
+// Waits for every reachable cell; returns the items (keys, for key-only
+// entries) in key order.
 template <typename E>
-auto wait_items(pt::Cell<pipelined::RtPolicy, E>* root_cell) {
-  std::vector<std::pair<Key, typename E::Value>> out;
-  pt::visit_items(root_cell, detail::kWait,
-                  [&](Key k, const typename E::Value& v) {
-                    out.emplace_back(k, v);
-                  });
+std::vector<Item<E>> wait_items(CellOf<E>* root_cell) {
+  std::vector<Item<E>> out;
+  pt::visit_items(root_cell, kWait, [&](Key k, const typename E::Value& v) {
+    if constexpr (E::kHasValue)
+      out.emplace_back(k, v);
+    else
+      out.push_back(k);
+  });
   return out;
 }
 
-// Waits for every reachable cell; returns the key count (flush-time
-// recount for the facades; a leaf chunk contributes all its items).
+// Waits for every reachable cell; returns the key count (a leaf chunk
+// contributes all its items).
 template <typename E>
-std::size_t wait_count(pt::Cell<pipelined::RtPolicy, E>* root_cell) {
-  return pt::count_keys(root_cell, detail::kWait);
+std::size_t wait_count(CellOf<E>* root_cell) {
+  return pt::count_keys(root_cell, kWait);
 }
 
-// Storage composition of a finished map (forces every reachable cell).
+// Storage composition (forces every reachable cell): how many cache lines
+// the structure spends on internal nodes vs flat leaf chunks.
 using CacheEconomy = pt::CacheEconomy;
 
 template <typename E>
-CacheEconomy cache_economy(pt::Cell<pipelined::RtPolicy, E>* root_cell) {
+CacheEconomy cache_economy(CellOf<E>* root_cell) {
   CacheEconomy ce;
-  pt::visit_nodes(root_cell, detail::kWait, [&](auto* n) {
+  pt::visit_nodes(root_cell, kWait, [&](auto* n) {
     if (pt::is_leaf(n)) {
       ++ce.leaf_chunks;
       ce.leaf_keys += n->count;
@@ -174,27 +186,24 @@ CacheEconomy cache_economy(pt::Cell<pipelined::RtPolicy, E>* root_cell) {
 
 // Post-completion point lookup.
 template <typename E>
-std::optional<typename E::Value> lookup(
-    pt::Cell<pipelined::RtPolicy, E>* root_cell, Key k) {
-  return pt::lookup(root_cell, k, detail::kPeek);
+std::optional<typename E::Value> lookup(CellOf<E>* root_cell, Key k) {
+  return pt::lookup(root_cell, k, kPeek);
 }
 
 // Pipelined point lookup: forces only the cells along the search path, so it
 // runs concurrently with in-flight batch unions (the paper's consumer
 // descending into a producer's half-built tree).
 template <typename E>
-std::optional<typename E::Value> lookup_wait(
-    pt::Cell<pipelined::RtPolicy, E>* root_cell, Key k) {
-  return pt::lookup(root_cell, k, detail::kWait);
+std::optional<typename E::Value> lookup_wait(CellOf<E>* root_cell, Key k) {
+  return pt::lookup(root_cell, k, kWait);
 }
 
 // Range aggregate over a (finished or in-flight) augmented map: O(lg n)
 // forced cells, combine applied in key order (treap_walk.hpp).
 template <typename E>
   requires(E::kHasAug)
-auto aggregate_wait(pt::Cell<pipelined::RtPolicy, E>* root_cell, Key lo,
-                    Key hi) {
-  return pt::aggregate(root_cell, lo, hi, detail::kWait);
+auto aggregate_wait(CellOf<E>* root_cell, Key lo, Key hi) {
+  return pt::aggregate(root_cell, lo, hi, kWait);
 }
 
 }  // namespace pwf::rt::map

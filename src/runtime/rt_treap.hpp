@@ -1,7 +1,9 @@
 // Parallel (real-execution) treap union and difference — Sections 3.2–3.3
-// on the coroutine futures runtime. The algorithm bodies are the templated
-// coroutines in src/pipelined/treap.hpp, instantiated on the RtExec
-// substrate; this file only provides the runtime drivers and blocking joins.
+// on the coroutine futures runtime, for the paper's key-only treaps. The
+// algorithm bodies are the templated coroutines in src/pipelined/treap.hpp,
+// instantiated on the RtExec substrate; the drivers and walks below are
+// the entry-generic ones of rt_map.hpp at SetEntry, plus the strict
+// fork-join baselines.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +33,11 @@ Cell* union_treaps(Store& st, Cell* a, Cell* b);
 Cell* diff_treaps(Store& st, Cell* a, Cell* b);
 Cell* intersect_treaps(Store& st, Cell* a, Cell* b);
 
-// Rebalance primitives for the contention-adaptive sharded facades
-// (docs/service.md): pipelined range split (keys < pivot into *outL, keys
-// >= pivot into *outR) and range-disjoint join (every key of `a` < every
-// key of `b`). Both return immediately — the result materializes on the
-// scheduler, overlapping in-flight batches — and bump Scheduler::Stats
-// rebalances.
+// Rebalance primitives of the contention-adaptive shards (docs/service.md):
+// pipelined range split (keys < pivot into *outL, keys >= pivot into *outR)
+// and range-disjoint join (every key of `a` < every key of `b`). Both return
+// immediately — the result materializes on the scheduler, overlapping
+// in-flight batches — and bump Scheduler::Stats rebalances.
 void split_treaps(Store& st, Cell* in, Key pivot, Cell* outL, Cell* outR);
 Cell* join_treaps(Store& st, Cell* a, Cell* b);
 

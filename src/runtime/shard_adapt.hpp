@@ -1,20 +1,20 @@
 // Contention-adaptive sharding support (docs/service.md): the per-shard
 // traffic statistics, split/merge thresholds, and epoch-published routing
-// table shared by ShardedParallelSet and ShardedParallelMap<V, A>.
+// table of rt::Sharded (sharded.hpp).
 //
 // The adaptation idea follows the lock-free contention-adapting search
 // tree (ROADMAP): every shard keeps per-batch contention/occupancy stats;
 // crossing a high threshold splits the shard at its weighted traffic
 // median, and adjacent shards falling below a low threshold merge. The
 // rebalance primitives themselves are the pipelined treap split/join
-// bodies (ParallelSet::split_off / absorb and the map equivalents), so a
-// rebalance overlaps in-flight batches instead of stopping the world.
+// bodies (Index::split_off / absorb), so a rebalance overlaps in-flight
+// batches instead of stopping the world.
 //
 // Routing: readers resolve their shard through an atomically published,
 // immutable Table (sorted split points + shard pointers). A structural
 // change builds a fresh Table, publishes it seq_cst, then drains a
 // Dekker-style reader count before retiring the old table and destroying
-// absorbed shard husks — the same epoch-retirement protocol the facades'
+// absorbed shard husks — the same epoch-retirement protocol the index's
 // compact() uses for stores.
 #pragma once
 
@@ -24,6 +24,7 @@
 #include <optional>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace pwf::rt::adapt {
@@ -55,17 +56,24 @@ inline double split_threshold(const Config& cfg, std::size_t shards) {
   return std::min(cfg.high_cont, 0.75 * static_cast<double>(shards));
 }
 
+// A batch element's key: the key itself, or the key of a (key, value) item.
+inline Key key_of(Key k) { return k; }
+template <typename V>
+Key key_of(const std::pair<Key, V>& item) {
+  return item.first;
+}
+
 // Per-shard traffic record. Written only by the facade's single mutator
 // thread; the facade serializes reads (stats accessors) with a mutex.
 struct Heat {
-  double heat = 1.0;    // EWMA of share-of-batch x shard count
-  double lat_ms = 0.0;  // EWMA of this shard's per-batch slice latency
+  double heat = 1.0;         // EWMA of share-of-batch x shard count
   std::uint64_t routed = 0;  // cumulative keys routed here
   std::vector<Key> sample;   // ring of recently routed keys
   std::size_t sample_pos = 0;
 
-  void record(std::span<const Key> slice, std::size_t batch_total,
-              std::size_t shard_count, const Config& cfg, double ms) {
+  template <typename T>
+  void record(std::span<const T> slice, std::size_t batch_total,
+              std::size_t shard_count, const Config& cfg) {
     const double share =
         batch_total == 0
             ? 0.0
@@ -73,17 +81,17 @@ struct Heat {
                   static_cast<double>(batch_total);
     heat = (1.0 - cfg.alpha) * heat +
            cfg.alpha * share * static_cast<double>(shard_count);
-    if (slice.empty()) return;
-    lat_ms = (1.0 - cfg.alpha) * lat_ms + cfg.alpha * ms;
     routed += slice.size();
-    if (cfg.sample_cap == 0) return;
-    for (Key k : slice) {
-      if (sample.size() < cfg.sample_cap) {
-        sample.push_back(k);
-      } else {
-        sample[sample_pos] = k;
-        sample_pos = (sample_pos + 1) % cfg.sample_cap;
-      }
+    for (const T& x : slice) keep(key_of(x), cfg.sample_cap);
+  }
+
+  // Adds k to the ring sample of at most `cap` keys.
+  void keep(Key k, std::size_t cap) {
+    if (sample.size() < cap) {
+      sample.push_back(k);
+    } else if (!sample.empty()) {
+      sample[sample_pos] = k;
+      sample_pos = (sample_pos + 1) % sample.size();
     }
   }
 };

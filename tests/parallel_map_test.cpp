@@ -459,6 +459,41 @@ TEST(ParallelMapConcurrent, SnapshotReadersRaceWritersAndCompaction) {
             fold_range(ref, 0, 1 << 20));
 }
 
+// cache_economy() walks the tree that a concurrent compact() replaces, and
+// reads the arena counters of the store that tree lives in: it must take
+// both from one epoch pin, not from the live fields compact() swaps under
+// its lock (the tsan preset runs this).
+TEST(ParallelMapConcurrent, CacheEconomyRacesCompaction) {
+  constexpr map::Key kUniverse = 4096;
+  Scheduler sched(2);
+  Rng rng(71);
+  ParallelMap<std::int64_t> m(sched);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> bad{false};  // a walk saw more keys than exist
+  std::thread reader([&m, &stop, &bad] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      const auto ce = m.cache_economy();
+      // Every internal node and every chunk entry holds one distinct key.
+      if (ce.internal_nodes + ce.leaf_keys > kUniverse)
+        bad.store(true, std::memory_order_relaxed);
+    }
+  });
+  std::map<map::Key, std::int64_t> ref;
+  for (int round = 0; round < 24; ++round) {
+    std::vector<Item> batch;
+    for (int i = 0; i < 256; ++i)
+      batch.emplace_back(rng.range(0, kUniverse - 1), round);
+    m.assign_batch(batch);
+    for (const auto& [k, v] : batch) ref[k] = v;
+    m.compact();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_FALSE(bad.load(std::memory_order_relaxed));
+  EXPECT_EQ(m.items(), std::vector<Item>(ref.begin(), ref.end()));
+  EXPECT_EQ(m.cache_economy().arena_bytes, m.stats().arena_bytes);
+}
+
 // ---- path-bounded serial cutoff ----------------------------------------------
 // A batch of at most serial_threshold() keys is applied to the index by one
 // plain recursion along its search paths (docs/runtime.md, "Granularity

@@ -202,6 +202,27 @@ TEST(ShardedAdaptiveSet, DisabledConfigNeverRebalances) {
   EXPECT_EQ(sh.shard_count(), 4u);
 }
 
+// An empty insert or erase routes no traffic: it must not record a
+// zero-share batch into every shard's heat, which would make the whole
+// partition look cold and merge it. (retain_batch({}) is not a no-op:
+// set ∩ ∅ = ∅ empties every shard.)
+TEST(ShardedAdaptiveSet, EmptyBatchesLeaveThePartitionAlone) {
+  Scheduler sched(2);
+  ShardedParallelSet sh(sched, 4, 0x9e3779b97f4a7c15ULL,
+                        pipelined::treap::kDefaultLeafCapacity,
+                        eager_config());
+  const std::vector<Key> before = sh.boundaries();
+  sh.insert_batch(std::vector<Key>{});
+  sh.erase_batch(std::vector<Key>{});
+  EXPECT_EQ(sh.shard_count(), 4u);
+  EXPECT_EQ(sh.boundaries(), before);
+  const ShardedParallelSet::Stats st = sh.stats();
+  EXPECT_EQ(st.merges, 0u);
+  EXPECT_EQ(st.batches, 0u);
+  for (std::size_t i = 0; i < sh.shard_count(); ++i)
+    EXPECT_DOUBLE_EQ(sh.shard_load(i).heat, 1.0) << "shard " << i;
+}
+
 // ---- map facade --------------------------------------------------------------
 
 TEST(ShardedAdaptiveMap, RebalancingPreservesItemsAndMerges) {
