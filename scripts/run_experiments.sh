@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Builds everything, runs the full test suite, and regenerates every
-# experiment table (E1–E21) into test_output.txt / bench_output.txt at the
+# experiment table (E1–E27; E13 is retired) into test_output.txt / bench_output.txt at the
 # repository root — the reproduction protocol recorded in EXPERIMENTS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+cmake -B build
+cmake --build build -j
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 

@@ -67,6 +67,21 @@ struct LeafEntryT {
 // Key-only alias, kept for the set-facade code that scans chunks directly.
 using LeafEntry = LeafEntryT<SetEntry>;
 
+// A key-sorted, duplicate-free range of an immutable entry array: a leaf
+// chunk's entries, or the small operand of a path body (docs/runtime.md).
+// Narrowing a run is index arithmetic and allocates nothing.
+template <typename E>
+using Run = std::span<const LeafEntryT<E>>;
+
+// Index of a non-empty run's max-priority entry: the root its treap has.
+template <typename E>
+std::size_t top_of(Run<E> r) {
+  std::size_t top = 0;
+  for (std::size_t i = 1; i < r.size(); ++i)
+    if (r[i].pri > r[top].pri) top = i;
+  return top;
+}
+
 namespace detail {
 
 // Augmented nodes own one extra future cell: the subtree aggregate, written
@@ -178,56 +193,57 @@ class Store {
         arena_.allocate(n * sizeof(LeafEntryT<E>), 64));
   }
 
-  // Leaf view over base[lo, hi) (hi > lo); scans for the max-priority entry.
-  // The chunk is fully materialized data, so an augmented leaf's aggregate
-  // is preset here — leaf aug cells are *always* readable.
-  Node<P, E>* make_leaf(const LeafEntryT<E>* base, std::uint32_t lo,
-                        std::uint32_t hi) {
-    std::uint32_t rp = lo;
-    for (std::uint32_t i = lo + 1; i < hi; ++i)
-      if (base[i].pri > base[rp].pri) rp = i;
+  // Leaf view over a non-empty run, mirroring its max-priority entry. The
+  // chunk is fully materialized data, so an augmented leaf's aggregate is
+  // preset here — leaf aug cells are *always* readable.
+  Node<P, E>* make_leaf(Run<E> r) {
+    const std::size_t rp = top_of(r);
     Node<P, E>* n = create_node();
-    n->key = base[rp].key;
-    n->pri = base[rp].pri;
-    n->value = base[rp].value;
-    n->items = base + lo;
-    n->count = hi - lo;
-    n->root_pos = rp - lo;
+    n->key = r[rp].key;
+    n->pri = r[rp].pri;
+    n->value = r[rp].value;
+    n->items = r.data();
+    n->count = static_cast<std::uint32_t>(r.size());
+    n->root_pos = static_cast<std::uint32_t>(rp);
     if constexpr (E::kHasAug) {
       using Ops = typename E::AugOps;
       AugValue acc = Ops::identity();
-      for (std::uint32_t i = lo; i < hi; ++i)
-        acc = Ops::combine(acc, Ops::from_entry(base[i].key, base[i].value));
+      for (const LeafEntryT<E>& e : r)
+        acc = Ops::combine(acc, Ops::from_entry(e.key, e.value));
       P::preset(*n->aug, acc);
     }
     return n;
   }
 
-  // Treap over a sorted, duplicate-free entry range: ranges at or below the
-  // leaf capacity become flat chunks, larger ones get an internal node at
-  // the max-priority entry. Equivalent (same keys, same heap/BST shape above
-  // the chunks) to the node-per-key treap over the same keys. Aggregates are
-  // preset bottom-up (children are complete when the parent is made).
-  Node<P, E>* chunked(const LeafEntryT<E>* base, std::uint32_t lo,
-                      std::uint32_t hi) {
-    if (lo == hi) return nullptr;
-    if (hi - lo <= leaf_cap_) return make_leaf(base, lo, hi);
-    std::uint32_t rp = lo;
-    for (std::uint32_t i = lo + 1; i < hi; ++i)
-      if (base[i].pri > base[rp].pri) rp = i;
-    Node<P, E>* l = chunked(base, lo, rp);
-    Node<P, E>* r = chunked(base, rp + 1, hi);
-    Node<P, E>* n = make(base[rp].key, base[rp].pri, input(l), input(r));
-    n->value = base[rp].value;
+  // Treap over a run: runs at or below the leaf capacity become flat
+  // chunks, larger ones get an internal node at the max-priority entry.
+  // Equivalent (same keys, same heap/BST shape above the chunks) to the
+  // node-per-key treap over the same keys. Aggregates are preset bottom-up
+  // (children are complete when the parent is made).
+  Node<P, E>* chunked(Run<E> r) {
+    if (r.empty()) return nullptr;
+    if (r.size() <= leaf_cap_) return make_leaf(r);
+    const std::size_t rp = top_of(r);
+    Node<P, E>* l = chunked(r.first(rp));
+    Node<P, E>* rt = chunked(r.subspan(rp + 1));
+    Node<P, E>* n = make(r[rp].key, r[rp].pri, input(l), input(rt));
+    n->value = r[rp].value;
     if constexpr (E::kHasAug) {
       using Ops = typename E::AugOps;
       AugValue acc = Ops::identity();
       if (l != nullptr) acc = Ops::combine(acc, P::peek(l->aug));
       acc = Ops::combine(acc, Ops::from_entry(n->key, n->value));
-      if (r != nullptr) acc = Ops::combine(acc, P::peek(r->aug));
+      if (rt != nullptr) acc = Ops::combine(acc, P::peek(rt->aug));
       P::preset(*n->aug, acc);
     }
     return n;
+  }
+
+  // Treap over a run in this store's layout: chunked, or node-per-key by
+  // the right-spine method when chunking is off (leaf capacity 1).
+  Node<P, E>* treap_of(Run<E> r) {
+    if (leaf_cap_ > 1) return chunked(r);
+    return spine(r.size(), [&](std::size_t i) { return r[i]; });
   }
 
   // Builds a treap over the given keys (input data; costs nothing in the
@@ -246,29 +262,12 @@ class Store {
         LeafEntryT<E>* e = alloc_entries(sorted.size());
         for (std::size_t i = 0; i < sorted.size(); ++i)
           e[i] = {sorted[i], priority(sorted[i])};
-        return chunked(e, 0, static_cast<std::uint32_t>(sorted.size()));
+        return chunked(Run<E>(e, sorted.size()));
       }
     }
-
-    // Each new (larger) key pops smaller-priority spine nodes and adopts the
-    // popped chain as its left subtree. Adopted links get fresh preset cells
-    // (runtime cells are write-once, so the placeholder can't be rewritten).
-    std::vector<Node<P, E>*> spine;
-    spine.reserve(64);
-    for (Key k : sorted) {
-      Node<P, E>* n = make_ready(k, priority(k), nullptr, nullptr);
-      Node<P, E>* last_popped = nullptr;
-      while (!spine.empty() && spine.back()->pri < n->pri) {
-        last_popped = spine.back();
-        spine.pop_back();
-      }
-      if (last_popped != nullptr) n->left = input(last_popped);
-      if (!spine.empty()) spine.back()->right = input(n);
-      spine.push_back(n);
-    }
-    Node<P, E>* root = spine.empty() ? nullptr : spine.front();
-    if constexpr (E::kHasAug) preset_augs(root);
-    return root;
+    return spine(sorted.size(), [&](std::size_t i) {
+      return LeafEntryT<E>{sorted[i], priority(sorted[i])};
+    });
   }
 
   // Construction over key-sorted, duplicate-free (key, value) items (input
@@ -283,26 +282,13 @@ class Store {
         for (std::size_t i = 0; i < sorted.size(); ++i)
           e[i] = {sorted[i].first, priority(sorted[i].first),
                   sorted[i].second};
-        return chunked(e, 0, static_cast<std::uint32_t>(sorted.size()));
+        return chunked(Run<E>(e, sorted.size()));
       }
     }
-    std::vector<Node<P, E>*> spine;
-    spine.reserve(64);
-    for (const auto& [k, v] : sorted) {
-      Node<P, E>* n = make_ready(k, priority(k), nullptr, nullptr);
-      n->value = v;
-      Node<P, E>* last_popped = nullptr;
-      while (!spine.empty() && spine.back()->pri < n->pri) {
-        last_popped = spine.back();
-        spine.pop_back();
-      }
-      if (last_popped != nullptr) n->left = input(last_popped);
-      if (!spine.empty()) spine.back()->right = input(n);
-      spine.push_back(n);
-    }
-    Node<P, E>* root = spine.empty() ? nullptr : spine.front();
-    if constexpr (E::kHasAug) preset_augs(root);
-    return root;
+    return spine(sorted.size(), [&](std::size_t i) {
+      return LeafEntryT<E>{sorted[i].first, priority(sorted[i].first),
+                           sorted[i].second};
+    });
   }
 
   std::size_t bytes_used() const { return arena_.bytes_used(); }
@@ -328,6 +314,33 @@ class Store {
       n->aug = arena_.template create<
           typename P::template Cell<typename E::AugOps::Aug>>();
     return n;
+  }
+
+  // O(n) right-spine (Cartesian tree) construction over `n` key-sorted,
+  // duplicate-free entries, the i-th given by at(i). Each new (larger) key
+  // pops smaller-priority spine nodes and adopts the popped chain as its
+  // left subtree. Adopted links get fresh preset cells (runtime cells are
+  // write-once, so the placeholder can't be rewritten).
+  template <typename At>
+  Node<P, E>* spine(std::size_t n, At at) {
+    std::vector<Node<P, E>*> stack;
+    stack.reserve(64);
+    for (std::size_t i = 0; i < n; ++i) {
+      const LeafEntryT<E> e = at(i);
+      Node<P, E>* node = make_ready(e.key, e.pri, nullptr, nullptr);
+      node->value = e.value;
+      Node<P, E>* last_popped = nullptr;
+      while (!stack.empty() && stack.back()->pri < node->pri) {
+        last_popped = stack.back();
+        stack.pop_back();
+      }
+      if (last_popped != nullptr) node->left = input(last_popped);
+      if (!stack.empty()) stack.back()->right = input(node);
+      stack.push_back(node);
+    }
+    Node<P, E>* root = stack.empty() ? nullptr : stack.front();
+    if constexpr (E::kHasAug) preset_augs(root);
+    return root;
   }
 
   // Bottom-up aggregate preset for spine-built trees (every cell of the
@@ -454,19 +467,25 @@ Fiber join_entry(Ex ex, Store<P, E>& st, Cell<P, E>* l, Cell<P, E>* r,
 // When the lower-priority operand of a union, difference or intersection is
 // fully written and holds at most Ex::serial_threshold() keys (a leaf chunk
 // counts its keys), a plain recursion applies that small operand to the
-// large one instead of forking the pipelined body. It touches the large
-// operand only along the small operand's search paths and links every
-// large-side cell it never reaches into the result as the same cell — no
-// touch, copy or fiber — so the work is the paper's O(m lg(n/m)) in the
-// small size m. It only peeks cells that are already written: at a
-// large-side cell that is not, or where a small root outranks a large
-// subtree whose search path is not yet written, it forks the pipelined body
-// for that piece and links the fork's output cell. When every cell is
-// written (always, on the eager recording substrate) nothing is forked.
-// The bodies mirror the pipelined semantics exactly — value merge order,
-// surviving values, aggregates — so a published result is
-// indistinguishable from the forked path's. Dead on the cost-model
-// substrates (threshold 0), as is every leaf branch (kMaxLeafCapacity 0).
+// large one instead of forking the pipelined body. The small operand enters
+// the recursion as a run (docs/runtime.md): a leaf chunk's entries as they
+// stand, any other small tree copied once in key order into one arena
+// array. Splitting a run is a binary search and finding its root a scan, so
+// the small side allocates nothing on the way down, and at a large-side
+// leaf chunk one merge over the two entry ranges absorbs the whole run. The
+// recursion touches the large operand only along the run's search paths and
+// links every large-side cell it never reaches into the result as the same
+// cell — no touch, copy or fiber — so the work is the paper's O(m lg(n/m))
+// in the small size m. It only peeks cells that are already written: at a
+// large-side cell that is not, or where a run's root outranks a large
+// subtree whose search path is not yet written, it builds that piece of the
+// run into a treap, forks the pipelined body for it and links the fork's
+// output cell. When every cell is written (always, on the eager recording
+// substrate) nothing is forked. The bodies mirror the pipelined semantics —
+// value merge order, aggregates, and which side's value an intersection
+// keeps — except that a run meets a large-side chunk the way one chunk meets
+// another, whatever the run's length. Dead on the cost-model substrates
+// (threshold 0), as is every leaf branch (kMaxLeafCapacity 0).
 
 namespace detail {
 
@@ -487,33 +506,27 @@ struct SerialSplit {
 
 // ---- leaf-chunk primitives --------------------------------------------------
 //
-// Only instantiated when P::kMaxLeafCapacity > 0. All of them operate on the
-// immutable entry arrays, so slices share storage with their source leaf and
-// only merges/joins allocate new chunks.
+// Only instantiated when P::kMaxLeafCapacity > 0. All of them operate on
+// runs of the immutable entry arrays, so slices share storage with their
+// source and only merges/joins allocate new chunks. Each one is a leaf op,
+// counted on the executor (with the keys it covers) and on the store.
 
-// Sub-view of a leaf, [lo, hi) relative to leaf->items. Empty -> nullptr.
-template <typename P, typename E>
-Node<P, E>* leaf_slice(Store<P, E>& st, const Node<P, E>* leaf,
-                       std::uint32_t lo, std::uint32_t hi) {
-  if (lo >= hi) return nullptr;
-  return st.make_leaf(leaf->items, lo, hi);
+template <typename Ex, typename P, typename E>
+void count_leaf_op(Ex ex, const Store<P, E>& st, std::size_t keys) {
+  ex.on_leaf_op(keys);
+  st.note_leaf_op();
 }
 
-// The subtree a leaf's root entry would have on each side.
+// A leaf chunk's entries.
 template <typename P, typename E>
-Node<P, E>* left_part(Store<P, E>& st, Node<P, E>* t) {
-  if constexpr (P::kMaxLeafCapacity > 0) {
-    if (is_leaf(t)) return leaf_slice(st, t, 0, t->root_pos);
-  }
-  return peek<P>(t->left);
+Run<E> run_of(const Node<P, E>* leaf) {
+  return {leaf->items, leaf->count};
 }
 
+// Leaf view over a run; nullptr for an empty one.
 template <typename P, typename E>
-Node<P, E>* right_part(Store<P, E>& st, Node<P, E>* t) {
-  if constexpr (P::kMaxLeafCapacity > 0) {
-    if (is_leaf(t)) return leaf_slice(st, t, t->root_pos + 1, t->count);
-  }
-  return peek<P>(t->right);
+Node<P, E>* leaf_slice(Store<P, E>& st, Run<E> r) {
+  return r.empty() ? nullptr : st.make_leaf(r);
 }
 
 // Rewrites a leaf as an internal node (same key/pri/value, preset side
@@ -523,54 +536,59 @@ Node<P, E>* right_part(Store<P, E>& st, Node<P, E>* t) {
 // cell readable or in flight" invariant.
 template <typename P, typename E>
 Node<P, E>* open_leaf(Store<P, E>& st, Node<P, E>* t) {
-  Node<P, E>* n = st.make(t->key, t->pri, st.input(left_part(st, t)),
-                          st.input(right_part(st, t)));
+  const Run<E> r = run_of(t);
+  Node<P, E>* n =
+      st.make(t->key, t->pri, st.input(leaf_slice(st, r.first(t->root_pos))),
+              st.input(leaf_slice(st, r.subspan(t->root_pos + 1))));
   n->value = t->value;
   if constexpr (E::kHasAug) P::preset(*n->aug, P::peek(t->aug));
   return n;
 }
 
+// A run split by key s: the entries below and above s, and the entry with
+// key s if there is one. One binary search; allocates nothing.
+template <typename E>
+struct RunSplit {
+  Run<E> less;
+  Run<E> greater;
+  const LeafEntryT<E>* equal = nullptr;
+};
+
+template <typename E>
+RunSplit<E> split_run(Run<E> r, Key s) {
+  const auto it = std::partition_point(
+      r.begin(), r.end(), [s](const LeafEntryT<E>& e) { return e.key < s; });
+  const auto lo = static_cast<std::size_t>(it - r.begin());
+  if (lo < r.size() && r[lo].key == s)
+    return {r.first(lo), r.subspan(lo + 1), &r[lo]};
+  return {r.first(lo), r.subspan(lo), nullptr};
+}
+
 // splitm on a flat chunk: one binary search, two zero-copy slices. The equal
 // verdict is a one-entry leaf view carrying the value (the set path only
 // null-checks it).
-template <typename P, typename E>
-SerialSplit<P, E> split_leaf(Store<P, E>& st, Key s, const Node<P, E>* t) {
-  st.note_leaf_op();
-  const LeafEntryT<E>* e = t->items;
-  const std::uint32_t n = t->count;
-  std::uint32_t lo = 0, hi = n;
-  while (lo < hi) {
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (e[mid].key < s) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  SerialSplit<P, E> out;
-  out.less = leaf_slice(st, t, 0, lo);
-  if (lo < n && e[lo].key == s) {
-    out.equal = st.make_leaf(e, lo, lo + 1);
-    out.greater = leaf_slice(st, t, lo + 1, n);
-  } else {
-    out.greater = leaf_slice(st, t, lo, n);
-  }
-  return out;
+template <typename Ex, typename P, typename E>
+SerialSplit<P, E> split_leaf(Ex ex, Store<P, E>& st, Key s,
+                             const Node<P, E>* t) {
+  count_leaf_op(ex, st, t->count);
+  const RunSplit<E> sp = split_run(run_of(t), s);
+  return {leaf_slice(st, sp.less), leaf_slice(st, sp.greater),
+          sp.equal != nullptr ? st.make_leaf(Run<E>(sp.equal, 1)) : nullptr};
 }
 
-// Sorted-array union of two chunks; a shared key keeps
+// Sorted-array union of two runs; a shared key keeps
 // merge(value_in_a, value_in_b) (`flip` says (a, b) arrived swapped relative
 // to the caller's operand order). Re-chunks the merged array (an internal
 // spine appears only above the capacity).
-template <typename P, typename E, typename Merge>
-Node<P, E>* leaf_union(Store<P, E>& st, const Node<P, E>* a,
-                       const Node<P, E>* b, Merge merge, bool flip) {
-  st.note_leaf_op();
-  LeafEntryT<E>* out = st.alloc_entries(a->count + b->count);
-  const LeafEntryT<E>* x = a->items;
-  const LeafEntryT<E>* xe = x + a->count;
-  const LeafEntryT<E>* y = b->items;
-  const LeafEntryT<E>* ye = y + b->count;
+template <typename Ex, typename P, typename E, typename Merge>
+Node<P, E>* leaf_union(Ex ex, Store<P, E>& st, Run<E> a, Run<E> b,
+                       Merge merge, bool flip) {
+  count_leaf_op(ex, st, a.size() + b.size());
+  LeafEntryT<E>* out = st.alloc_entries(a.size() + b.size());
+  const LeafEntryT<E>* x = a.data();
+  const LeafEntryT<E>* xe = x + a.size();
+  const LeafEntryT<E>* y = b.data();
+  const LeafEntryT<E>* ye = y + b.size();
   LeafEntryT<E>* w = out;
   while (x != xe && y != ye) {
     prefetch(x + 4);
@@ -589,19 +607,18 @@ Node<P, E>* leaf_union(Store<P, E>& st, const Node<P, E>* a,
   }
   while (x != xe) *w++ = *x++;
   while (y != ye) *w++ = *y++;
-  return st.chunked(out, 0, static_cast<std::uint32_t>(w - out));
+  return st.chunked(Run<E>(out, static_cast<std::size_t>(w - out)));
 }
 
 // Sorted-array difference a \ b (b's values are irrelevant).
-template <typename P, typename E>
-Node<P, E>* leaf_diff(Store<P, E>& st, const Node<P, E>* a,
-                      const Node<P, E>* b) {
-  st.note_leaf_op();
-  LeafEntryT<E>* out = st.alloc_entries(a->count);
-  const LeafEntryT<E>* x = a->items;
-  const LeafEntryT<E>* xe = x + a->count;
-  const LeafEntryT<E>* y = b->items;
-  const LeafEntryT<E>* ye = y + b->count;
+template <typename Ex, typename P, typename E>
+Node<P, E>* leaf_diff(Ex ex, Store<P, E>& st, Run<E> a, Run<E> b) {
+  count_leaf_op(ex, st, a.size() + b.size());
+  LeafEntryT<E>* out = st.alloc_entries(a.size());
+  const LeafEntryT<E>* x = a.data();
+  const LeafEntryT<E>* xe = x + a.size();
+  const LeafEntryT<E>* y = b.data();
+  const LeafEntryT<E>* ye = y + b.size();
   LeafEntryT<E>* w = out;
   while (x != xe && y != ye) {
     prefetch(x + 4);
@@ -616,19 +633,18 @@ Node<P, E>* leaf_diff(Store<P, E>& st, const Node<P, E>* a,
     }
   }
   while (x != xe) *w++ = *x++;
-  return st.chunked(out, 0, static_cast<std::uint32_t>(w - out));
+  return st.chunked(Run<E>(out, static_cast<std::size_t>(w - out)));
 }
 
 // Sorted-array intersection (a's values survive).
-template <typename P, typename E>
-Node<P, E>* leaf_intersect(Store<P, E>& st, const Node<P, E>* a,
-                           const Node<P, E>* b) {
-  st.note_leaf_op();
-  LeafEntryT<E>* out = st.alloc_entries(std::min(a->count, b->count));
-  const LeafEntryT<E>* x = a->items;
-  const LeafEntryT<E>* xe = x + a->count;
-  const LeafEntryT<E>* y = b->items;
-  const LeafEntryT<E>* ye = y + b->count;
+template <typename Ex, typename P, typename E>
+Node<P, E>* leaf_intersect(Ex ex, Store<P, E>& st, Run<E> a, Run<E> b) {
+  count_leaf_op(ex, st, a.size() + b.size());
+  LeafEntryT<E>* out = st.alloc_entries(std::min(a.size(), b.size()));
+  const LeafEntryT<E>* x = a.data();
+  const LeafEntryT<E>* xe = x + a.size();
+  const LeafEntryT<E>* y = b.data();
+  const LeafEntryT<E>* ye = y + b.size();
   LeafEntryT<E>* w = out;
   while (x != xe && y != ye) {
     prefetch(x + 4);
@@ -642,18 +658,17 @@ Node<P, E>* leaf_intersect(Store<P, E>& st, const Node<P, E>* a,
       ++y;
     }
   }
-  return st.chunked(out, 0, static_cast<std::uint32_t>(w - out));
+  return st.chunked(Run<E>(out, static_cast<std::size_t>(w - out)));
 }
 
-// join of two chunks (all of a's keys < all of b's): flat concatenation.
-template <typename P, typename E>
-Node<P, E>* leaf_concat(Store<P, E>& st, const Node<P, E>* a,
-                        const Node<P, E>* b) {
-  st.note_leaf_op();
-  LeafEntryT<E>* out = st.alloc_entries(a->count + b->count);
-  std::memcpy(out, a->items, a->count * sizeof(LeafEntryT<E>));
-  std::memcpy(out + a->count, b->items, b->count * sizeof(LeafEntryT<E>));
-  return st.chunked(out, 0, a->count + b->count);
+// join of two runs (all of a's keys < all of b's): flat concatenation.
+template <typename Ex, typename P, typename E>
+Node<P, E>* leaf_concat(Ex ex, Store<P, E>& st, Run<E> a, Run<E> b) {
+  count_leaf_op(ex, st, a.size() + b.size());
+  LeafEntryT<E>* out = st.alloc_entries(a.size() + b.size());
+  std::memcpy(out, a.data(), a.size_bytes());
+  std::memcpy(out + a.size(), b.data(), b.size_bytes());
+  return st.chunked(Run<E>(out, a.size() + b.size()));
 }
 
 // ---- path bodies ------------------------------------------------------------
@@ -679,6 +694,36 @@ bool small_written(const Node<P, E>* n, std::size_t& budget) {
          small_written(P::peek(n->right), budget);
 }
 
+// Appends the entries of a written subtree to `w` in key order.
+template <typename P, typename E>
+void copy_entries(const Node<P, E>* n, LeafEntryT<E>*& w) {
+  if (n == nullptr) return;
+  if constexpr (P::kMaxLeafCapacity > 0) {
+    if (is_leaf(n)) {
+      std::memcpy(w, n->items, n->count * sizeof(LeafEntryT<E>));
+      w += n->count;
+      return;
+    }
+  }
+  copy_entries(P::peek(n->left), w);
+  *w++ = {n->key, n->pri, n->value};
+  copy_entries(P::peek(n->right), w);
+}
+
+// The small operand of a cutoff as one run: a leaf chunk is one already,
+// and any other written subtree of `keys` keys (small_written's count) is
+// copied in key order into one arena array.
+template <typename P, typename E>
+Run<E> small_run(Store<P, E>& st, const Node<P, E>* n, std::size_t keys) {
+  if constexpr (P::kMaxLeafCapacity > 0) {
+    if (is_leaf(n)) return run_of(n);
+  }
+  LeafEntryT<E>* out = st.alloc_entries(keys);
+  LeafEntryT<E>* w = out;
+  copy_entries(n, w);
+  return {out, keys};
+}
+
 // True if every cell on the search path for `s` below `t` is written. The
 // path ends at a nil, a leaf chunk, or the node with key s (whose children
 // a split links without reading).
@@ -692,11 +737,11 @@ bool path_written(const Node<P, E>* t, Key s) {
   return true;
 }
 
-// Gives a serially built node its aggregate: combined inline when both
-// children's aggregates are already written, otherwise left to a forked
-// aug_into fiber (a linked large-side child or a forked piece may still be
-// materializing). Children are built before their parents, so the forks
-// come in a valid topological order for the eager substrates.
+// Gives a serially built node its aggregate: combined inline (one aug op)
+// when both children's aggregates are already written, otherwise left to a
+// forked aug_into fiber (a linked large-side child or a forked piece may
+// still be materializing). Children are built before their parents, so the
+// forks come in a valid topological order for the eager substrates.
 template <typename Ex, typename P, typename E>
 void finish_aug(Ex ex, Node<P, E>* n) {
   if constexpr (E::kHasAug) {
@@ -716,15 +761,17 @@ void finish_aug(Ex ex, Node<P, E>* n) {
     acc = Ops::combine(acc, Ops::from_entry(n->key, n->value));
     if (const Node<P, E>* r = P::peek(n->right))
       acc = Ops::combine(acc, P::peek(r->aug));
+    ex.on_aug_op();
     P::preset(*n->aug, acc);
   }
 }
 
-// A serially rebuilt node: t's key and priority over new child cells.
+// A serially rebuilt node: the key and priority of a large-side node or of
+// a run's root, over new child cells.
 template <typename Ex, typename P, typename E>
-Node<P, E>* rebuilt(Ex ex, Store<P, E>& st, const Node<P, E>* t,
+Node<P, E>* rebuilt(Ex ex, Store<P, E>& st, Key key, Pri pri,
                     typename E::Value value, Cell<P, E>* l, Cell<P, E>* r) {
-  Node<P, E>* n = st.make(t->key, t->pri, l, r);
+  Node<P, E>* n = st.make(key, pri, l, r);
   n->value = value;
   finish_aug(ex, n);
   return n;
@@ -740,25 +787,27 @@ struct PathSplit {
   Node<P, E>* equal = nullptr;  // the node with key s, if present
 };
 
-// splitm along one search path (path_written(t, s) must hold; a fully
-// written small operand always qualifies).
+// splitm along one search path of the large side (path_written(t, s) must
+// hold).
 template <typename Ex, typename P, typename E>
 PathSplit<P, E> split_path(Ex ex, Store<P, E>& st, Key s, Node<P, E>* t) {
   if (t == nullptr) return {st.input(nullptr), st.input(nullptr), nullptr};
   if constexpr (P::kMaxLeafCapacity > 0) {
     if (is_leaf(t)) {
-      const SerialSplit<P, E> sp = split_leaf(st, s, t);
+      const SerialSplit<P, E> sp = split_leaf(ex, st, s, t);
       return {st.input(sp.less), st.input(sp.greater), sp.equal};
     }
   }
   if (s < t->key) {
     PathSplit<P, E> sub = split_path(ex, st, s, peek<P>(t->left));
-    sub.greater = st.input(rebuilt(ex, st, t, t->value, sub.greater, t->right));
+    sub.greater = st.input(
+        rebuilt(ex, st, t->key, t->pri, t->value, sub.greater, t->right));
     return sub;
   }
   if (s > t->key) {
     PathSplit<P, E> sub = split_path(ex, st, s, peek<P>(t->right));
-    sub.less = st.input(rebuilt(ex, st, t, t->value, t->left, sub.less));
+    sub.less = st.input(
+        rebuilt(ex, st, t->key, t->pri, t->value, t->left, sub.less));
     return sub;
   }
   return {t->left, t->right, t};
@@ -774,164 +823,163 @@ Cell<P, E>* join_path(Ex ex, Store<P, E>& st, Cell<P, E>* l, Cell<P, E>* r) {
     if (tl == nullptr) return r;
     if (tr == nullptr) return l;
     if constexpr (P::kMaxLeafCapacity > 0) {
-      if (is_leaf(tl) && is_leaf(tr)) return st.input(leaf_concat(st, tl, tr));
+      if (is_leaf(tl) && is_leaf(tr))
+        return st.input(leaf_concat(ex, st, run_of(tl), run_of(tr)));
     }
     if (tl->pri >= tr->pri) {
       if constexpr (P::kMaxLeafCapacity > 0) {
         if (is_leaf(tl)) tl = open_leaf(st, tl);
       }
       Cell<P, E>* j = join_path(ex, st, tl->right, r);
-      return st.input(rebuilt(ex, st, tl, tl->value, tl->left, j));
+      return st.input(
+          rebuilt(ex, st, tl->key, tl->pri, tl->value, tl->left, j));
     }
     if constexpr (P::kMaxLeafCapacity > 0) {
       if (is_leaf(tr)) tr = open_leaf(st, tr);
     }
     Cell<P, E>* j = join_path(ex, st, l, tr->left);
-    return st.input(rebuilt(ex, st, tr, tr->value, j, tr->right));
+    return st.input(rebuilt(ex, st, tr->key, tr->pri, tr->value, j, tr->right));
   }
   Cell<P, E>* out = st.cell();
   ex.fork(join_entry(ex, st, l, r, out));
   return out;
 }
 
-// Union of the large-side cell `c` with the small subtree `s`; returns the
-// result's cell (`c` itself when s is empty). `flip` says the large side is
-// the union's second operand, so shared keys keep merge(value_in_a,
+// Union of the large-side cell `c` with the run `s`; returns the result's
+// cell (`c` itself when s is empty). `flip` says the large side is the
+// union's second operand, so shared keys keep merge(value_in_a,
 // value_in_b).
 template <typename Ex, typename P, typename E, typename Merge>
-Cell<P, E>* union_path(Ex ex, Store<P, E>& st, Cell<P, E>* c, Node<P, E>* s,
+Cell<P, E>* union_path(Ex ex, Store<P, E>& st, Cell<P, E>* c, Run<E> s,
                        Merge merge, bool flip) {
-  if (s == nullptr) return c;
+  if (s.empty()) return c;
   if (P::ready(c)) {
     Node<P, E>* t = P::peek(c);
-    if (t == nullptr) return st.input(s);
+    if (t == nullptr) return st.input(st.treap_of(s));
     if constexpr (P::kMaxLeafCapacity > 0) {
-      if (is_leaf(t) && is_leaf(s))
-        return st.input(leaf_union(st, t, s, merge, flip));
+      if (is_leaf(t))
+        return st.input(leaf_union(ex, st, run_of(t), s, merge, flip));
     }
-    if (t->pri >= s->pri) {  // the large root stays on top
-      if constexpr (P::kMaxLeafCapacity > 0) {
-        if (is_leaf(t)) t = open_leaf(st, t);
-      }
-      const PathSplit<P, E> sp = split_path(ex, st, t->key, s);
-      Cell<P, E>* l = union_path(ex, st, t->left, peek<P>(sp.less), merge, flip);
-      Cell<P, E>* r =
-          union_path(ex, st, t->right, peek<P>(sp.greater), merge, flip);
+    const std::size_t top = top_of(s);
+    const LeafEntryT<E>& r = s[top];
+    if (t->pri >= r.pri) {  // the large root stays on top
+      const RunSplit<E> sp = split_run(s, t->key);
+      Cell<P, E>* lc = union_path(ex, st, t->left, sp.less, merge, flip);
+      Cell<P, E>* rc = union_path(ex, st, t->right, sp.greater, merge, flip);
       typename E::Value v = t->value;
       if constexpr (E::kHasValue) {
         if (sp.equal != nullptr)
           v = flip ? merge(sp.equal->value, t->value)
                    : merge(t->value, sp.equal->value);
       }
-      return st.input(rebuilt(ex, st, t, v, l, r));
+      return st.input(rebuilt(ex, st, t->key, t->pri, v, lc, rc));
     }
-    if (path_written(t, s->key)) {  // the small root outranks this subtree
-      const PathSplit<P, E> sp = split_path(ex, st, s->key, t);
-      Cell<P, E>* l = union_path(ex, st, sp.less, left_part(st, s), merge, flip);
-      Cell<P, E>* r =
-          union_path(ex, st, sp.greater, right_part(st, s), merge, flip);
-      typename E::Value v = s->value;
+    if (path_written(t, r.key)) {  // the run's root outranks this subtree
+      const PathSplit<P, E> sp = split_path(ex, st, r.key, t);
+      Cell<P, E>* lc = union_path(ex, st, sp.less, s.first(top), merge, flip);
+      Cell<P, E>* rc =
+          union_path(ex, st, sp.greater, s.subspan(top + 1), merge, flip);
+      typename E::Value v = r.value;
       if constexpr (E::kHasValue) {
         if (sp.equal != nullptr)
-          v = flip ? merge(s->value, sp.equal->value)
-                   : merge(sp.equal->value, s->value);
+          v = flip ? merge(r.value, sp.equal->value)
+                   : merge(sp.equal->value, r.value);
       }
-      return st.input(rebuilt(ex, st, s, v, l, r));
+      return st.input(rebuilt(ex, st, r.key, r.pri, v, lc, rc));
     }
   }
   Cell<P, E>* out = st.cell();
-  ex.fork(union_into(ex, st, c, st.input(s), out, merge, flip));
+  ex.fork(union_into(ex, st, c, st.input(st.treap_of(s)), out, merge, flip));
   return out;
 }
 
-// a \ b with a large (cell `c`) and b small (`s`): the result keeps a's
+// a \ b with a large (cell `c`) and b the run `s`: the result keeps a's
 // shape, so only a's search paths for b's keys are read.
 template <typename Ex, typename P, typename E>
-Cell<P, E>* diff_path(Ex ex, Store<P, E>& st, Cell<P, E>* c, Node<P, E>* s) {
-  if (s == nullptr) return c;
+Cell<P, E>* diff_path(Ex ex, Store<P, E>& st, Cell<P, E>* c, Run<E> s) {
+  if (s.empty()) return c;
   if (!P::ready(c)) {
     Cell<P, E>* out = st.cell();
-    ex.fork(diff_into(ex, st, c, st.input(s), out));
+    ex.fork(diff_into(ex, st, c, st.input(st.treap_of(s)), out));
     return out;
   }
   Node<P, E>* t = P::peek(c);
   if (t == nullptr) return c;
   if constexpr (P::kMaxLeafCapacity > 0) {
-    if (is_leaf(t) && is_leaf(s)) return st.input(leaf_diff(st, t, s));
-    if (is_leaf(t)) t = open_leaf(st, t);
+    if (is_leaf(t)) return st.input(leaf_diff(ex, st, run_of(t), s));
   }
-  const PathSplit<P, E> sp = split_path(ex, st, t->key, s);
-  Cell<P, E>* l = diff_path(ex, st, t->left, peek<P>(sp.less));
-  Cell<P, E>* r = diff_path(ex, st, t->right, peek<P>(sp.greater));
+  const RunSplit<E> sp = split_run(s, t->key);
+  Cell<P, E>* l = diff_path(ex, st, t->left, sp.less);
+  Cell<P, E>* r = diff_path(ex, st, t->right, sp.greater);
   if (sp.equal != nullptr) return join_path(ex, st, l, r);
-  return st.input(rebuilt(ex, st, t, t->value, l, r));
+  return st.input(rebuilt(ex, st, t->key, t->pri, t->value, l, r));
 }
 
-// a \ b with a small (`s`) and b large (cell `c`): the result is a subset of
-// a, found along b's search paths for a's keys. Where s's root path is not
-// written, the forked diff_into skips the cutoff (its path check fails) and
-// takes one pipelined step on s's root, so each such fork shrinks s.
+// a \ b with a the run `s` and b large (cell `c`): the result is a subset of
+// a, found along b's search paths for a's keys. Where the path for the
+// run's root is not written, the forked diff_into skips the cutoff (its
+// path check fails) and takes one pipelined step on that root, so each such
+// fork shrinks s.
 template <typename Ex, typename P, typename E>
-Cell<P, E>* diff_path_small(Ex ex, Store<P, E>& st, Node<P, E>* s,
-                            Cell<P, E>* c) {
-  if (s == nullptr) return st.input(nullptr);
+Cell<P, E>* diff_path_small(Ex ex, Store<P, E>& st, Run<E> s, Cell<P, E>* c) {
+  if (s.empty()) return st.input(nullptr);
   if (P::ready(c)) {
     Node<P, E>* t = P::peek(c);
-    if (t == nullptr) return st.input(s);
+    if (t == nullptr) return st.input(st.treap_of(s));
     if constexpr (P::kMaxLeafCapacity > 0) {
-      if (is_leaf(s) && is_leaf(t)) return st.input(leaf_diff(st, s, t));
+      if (is_leaf(t)) return st.input(leaf_diff(ex, st, s, run_of(t)));
     }
-    if (path_written(t, s->key)) {
-      const PathSplit<P, E> sp = split_path(ex, st, s->key, t);
-      Cell<P, E>* l = diff_path_small(ex, st, left_part(st, s), sp.less);
-      Cell<P, E>* r = diff_path_small(ex, st, right_part(st, s), sp.greater);
-      if (sp.equal != nullptr) return join_path(ex, st, l, r);
-      return st.input(rebuilt(ex, st, s, s->value, l, r));
+    const std::size_t top = top_of(s);
+    const LeafEntryT<E>& r = s[top];
+    if (path_written(t, r.key)) {
+      const PathSplit<P, E> sp = split_path(ex, st, r.key, t);
+      Cell<P, E>* lc = diff_path_small(ex, st, s.first(top), sp.less);
+      Cell<P, E>* rc = diff_path_small(ex, st, s.subspan(top + 1), sp.greater);
+      if (sp.equal != nullptr) return join_path(ex, st, lc, rc);
+      return st.input(rebuilt(ex, st, r.key, r.pri, r.value, lc, rc));
     }
   }
   Cell<P, E>* out = st.cell();
-  ex.fork(diff_into(ex, st, st.input(s), c, out));
+  ex.fork(diff_into(ex, st, st.input(st.treap_of(s)), c, out));
   return out;
 }
 
-// Intersection of the large-side cell `c` with the small subtree `s`.
-// `large_first` says the large side is the pipelined body's first operand
-// at this depth: it keeps the root (and so the value) when both roots hold
-// the same key, and its chunk's values survive a leaf intersection.
+// Intersection of the large-side cell `c` with the run `s`. `large_first`
+// says the large side is the pipelined body's first operand at this depth:
+// it keeps the root (and so the value) when both roots hold the same key,
+// and its chunk's values survive a leaf intersection.
 template <typename Ex, typename P, typename E>
-Cell<P, E>* intersect_path(Ex ex, Store<P, E>& st, Cell<P, E>* c,
-                           Node<P, E>* s, bool large_first) {
-  if (s == nullptr) return st.input(nullptr);
+Cell<P, E>* intersect_path(Ex ex, Store<P, E>& st, Cell<P, E>* c, Run<E> s,
+                           bool large_first) {
+  if (s.empty()) return st.input(nullptr);
   if (P::ready(c)) {
     Node<P, E>* t = P::peek(c);
     if (t == nullptr) return c;
     if constexpr (P::kMaxLeafCapacity > 0) {
-      if (is_leaf(t) && is_leaf(s))
-        return st.input(large_first ? leaf_intersect(st, t, s)
-                                    : leaf_intersect(st, s, t));
+      if (is_leaf(t))
+        return st.input(large_first ? leaf_intersect(ex, st, run_of(t), s)
+                                    : leaf_intersect(ex, st, s, run_of(t)));
     }
-    if (t->pri > s->pri || (t->pri == s->pri && large_first)) {
-      if constexpr (P::kMaxLeafCapacity > 0) {
-        if (is_leaf(t)) t = open_leaf(st, t);
-      }
-      const PathSplit<P, E> sp = split_path(ex, st, t->key, s);
-      Cell<P, E>* l = intersect_path(ex, st, t->left, peek<P>(sp.less), true);
-      Cell<P, E>* r =
-          intersect_path(ex, st, t->right, peek<P>(sp.greater), true);
-      if (sp.equal == nullptr) return join_path(ex, st, l, r);
-      return st.input(rebuilt(ex, st, t, t->value, l, r));
+    const std::size_t top = top_of(s);
+    const LeafEntryT<E>& r = s[top];
+    if (t->pri > r.pri || (t->pri == r.pri && large_first)) {
+      const RunSplit<E> sp = split_run(s, t->key);
+      Cell<P, E>* lc = intersect_path(ex, st, t->left, sp.less, true);
+      Cell<P, E>* rc = intersect_path(ex, st, t->right, sp.greater, true);
+      if (sp.equal == nullptr) return join_path(ex, st, lc, rc);
+      return st.input(rebuilt(ex, st, t->key, t->pri, t->value, lc, rc));
     }
-    if (path_written(t, s->key)) {
-      const PathSplit<P, E> sp = split_path(ex, st, s->key, t);
-      Cell<P, E>* l = intersect_path(ex, st, sp.less, left_part(st, s), false);
-      Cell<P, E>* r =
-          intersect_path(ex, st, sp.greater, right_part(st, s), false);
-      if (sp.equal == nullptr) return join_path(ex, st, l, r);
-      return st.input(rebuilt(ex, st, s, s->value, l, r));
+    if (path_written(t, r.key)) {
+      const PathSplit<P, E> sp = split_path(ex, st, r.key, t);
+      Cell<P, E>* lc = intersect_path(ex, st, sp.less, s.first(top), false);
+      Cell<P, E>* rc =
+          intersect_path(ex, st, sp.greater, s.subspan(top + 1), false);
+      if (sp.equal == nullptr) return join_path(ex, st, lc, rc);
+      return st.input(rebuilt(ex, st, r.key, r.pri, r.value, lc, rc));
     }
   }
   Cell<P, E>* out = st.cell();
-  Cell<P, E>* sc = st.input(s);
+  Cell<P, E>* sc = st.input(st.treap_of(s));
   ex.fork(large_first ? intersect_into(ex, st, c, sc, out)
                       : intersect_into(ex, st, sc, c, out));
   return out;
@@ -961,8 +1009,7 @@ Fiber splitm_from(Ex ex, Store<P, E>& st, Key s, Node<P, E>* t,
     }
     if constexpr (P::kMaxLeafCapacity > 0) {
       if (is_leaf(t)) {
-        ex.on_leaf_op(t->count);
-        detail::SerialSplit<P, E> sp = detail::split_leaf(st, s, t);
+        detail::SerialSplit<P, E> sp = detail::split_leaf(ex, st, s, t);
         publish(ex, outL, sp.less);
         publish(ex, outR, sp.greater);
         if (outEq) ex.write(outEq, sp.equal);
@@ -1019,8 +1066,9 @@ Fiber union_into(Ex ex, Store<P, E>& st, Cell<P, E>* a, Cell<P, E>* b,
   }
   if constexpr (P::kMaxLeafCapacity > 0) {
     if (is_leaf(ta) && is_leaf(tb)) {
-      ex.on_leaf_op(ta->count + tb->count);
-      publish(ex, out, detail::leaf_union(st, ta, tb, merge, flip));
+      publish(ex, out,
+              detail::leaf_union(ex, st, detail::run_of(ta),
+                                 detail::run_of(tb), merge, flip));
       co_return;
     }
   }
@@ -1031,8 +1079,9 @@ Fiber union_into(Ex ex, Store<P, E>& st, Cell<P, E>* a, Cell<P, E>* b,
     std::size_t budget = thr;
     if (detail::small_written(a_low ? ta : tb, budget)) {
       ex.on_serial_cutoff();
-      Cell<P, E>* res = a_low ? detail::union_path(ex, st, b, ta, merge, !flip)
-                              : detail::union_path(ex, st, a, tb, merge, flip);
+      const Run<E> s = detail::small_run(st, a_low ? ta : tb, thr - budget);
+      Cell<P, E>* res = a_low ? detail::union_path(ex, st, b, s, merge, !flip)
+                              : detail::union_path(ex, st, a, s, merge, flip);
       publish(ex, out, co_await ex.touch(res));
       co_return;
     }
@@ -1088,8 +1137,9 @@ Fiber join_from(Ex ex, Store<P, E>& st, Node<P, E>* t1, Node<P, E>* t2,
     }
     if constexpr (P::kMaxLeafCapacity > 0) {
       if (is_leaf(t1) && is_leaf(t2)) {
-        ex.on_leaf_op(t1->count + t2->count);
-        publish(ex, out, detail::leaf_concat(st, t1, t2));
+        publish(ex, out,
+                detail::leaf_concat(ex, st, detail::run_of(t1),
+                                    detail::run_of(t2)));
         augs.flush(ex);
         co_return;
       }
@@ -1173,8 +1223,9 @@ Fiber diff_into(Ex ex, Store<P, E>& st, Cell<P, E>* a, Cell<P, E>* b,
   }
   if constexpr (P::kMaxLeafCapacity > 0) {
     if (is_leaf(t1) && is_leaf(t2)) {
-      ex.on_leaf_op(t1->count + t2->count);
-      publish(ex, out, detail::leaf_diff(st, t1, t2));
+      publish(ex, out,
+              detail::leaf_diff(ex, st, detail::run_of(t1),
+                                detail::run_of(t2)));
       co_return;
     }
   }
@@ -1192,8 +1243,9 @@ Fiber diff_into(Ex ex, Store<P, E>& st, Cell<P, E>* a, Cell<P, E>* b,
                     detail::path_written(t2, t1->key)
               : detail::small_written(t2, budget)) {
       ex.on_serial_cutoff();
-      Cell<P, E>* res = a_low ? detail::diff_path_small(ex, st, t1, b)
-                              : detail::diff_path(ex, st, a, t2);
+      const Run<E> s = detail::small_run(st, a_low ? t1 : t2, thr - budget);
+      Cell<P, E>* res = a_low ? detail::diff_path_small(ex, st, s, b)
+                              : detail::diff_path(ex, st, a, s);
       publish(ex, out, co_await ex.touch(res));
       co_return;
     }
@@ -1240,8 +1292,9 @@ Fiber intersect_into(Ex ex, Store<P, E>& st, Cell<P, E>* a, Cell<P, E>* b,
   }
   if constexpr (P::kMaxLeafCapacity > 0) {
     if (is_leaf(ta) && is_leaf(tb)) {
-      ex.on_leaf_op(ta->count + tb->count);
-      publish(ex, out, detail::leaf_intersect(st, ta, tb));
+      publish(ex, out,
+              detail::leaf_intersect(ex, st, detail::run_of(ta),
+                                     detail::run_of(tb)));
       co_return;
     }
   }
@@ -1251,8 +1304,9 @@ Fiber intersect_into(Ex ex, Store<P, E>& st, Cell<P, E>* a, Cell<P, E>* b,
     std::size_t budget = thr;
     if (detail::small_written(a_low ? ta : tb, budget)) {
       ex.on_serial_cutoff();
-      Cell<P, E>* res = a_low ? detail::intersect_path(ex, st, b, ta, false)
-                              : detail::intersect_path(ex, st, a, tb, true);
+      const Run<E> s = detail::small_run(st, a_low ? ta : tb, thr - budget);
+      Cell<P, E>* res = a_low ? detail::intersect_path(ex, st, b, s, false)
+                              : detail::intersect_path(ex, st, a, s, true);
       publish(ex, out, co_await ex.touch(res));
       co_return;
     }
@@ -1300,8 +1354,7 @@ Task<StrictSplit<P, E>> splitm_strict(Ex ex, Store<P, E>& st, Key s,
   if (t == nullptr) co_return {};
   if constexpr (P::kMaxLeafCapacity > 0) {
     if (is_leaf(t)) {
-      ex.on_leaf_op(t->count);
-      detail::SerialSplit<P, E> sp = detail::split_leaf(st, s, t);
+      detail::SerialSplit<P, E> sp = detail::split_leaf(ex, st, s, t);
       co_return {sp.less, sp.greater, sp.equal};
     }
   }
@@ -1331,8 +1384,8 @@ Task<Node<P, E>*> join_strict(Ex ex, Store<P, E>& st, Node<P, E>* t1,
   if (t2 == nullptr) co_return t1;
   if constexpr (P::kMaxLeafCapacity > 0) {
     if (is_leaf(t1) && is_leaf(t2)) {
-      ex.on_leaf_op(t1->count + t2->count);
-      co_return detail::leaf_concat(st, t1, t2);
+      co_return detail::leaf_concat(ex, st, detail::run_of(t1),
+                                    detail::run_of(t2));
     }
   }
   Node<P, E>* res;
@@ -1366,8 +1419,8 @@ Task<Node<P, E>*> union_strict(Ex ex, Store<P, E>& st, Node<P, E>* a,
   if (b == nullptr) co_return a;
   if constexpr (P::kMaxLeafCapacity > 0) {
     if (is_leaf(a) && is_leaf(b)) {
-      ex.on_leaf_op(a->count + b->count);
-      co_return detail::leaf_union(st, a, b, merge, flip);
+      co_return detail::leaf_union(ex, st, detail::run_of(a),
+                                   detail::run_of(b), merge, flip);
     }
   }
   if (a->pri < b->pri) {
@@ -1399,8 +1452,8 @@ Task<Node<P, E>*> intersect_strict(Ex ex, Store<P, E>& st, Node<P, E>* a,
   if (a == nullptr || b == nullptr) co_return nullptr;
   if constexpr (P::kMaxLeafCapacity > 0) {
     if (is_leaf(a) && is_leaf(b)) {
-      ex.on_leaf_op(a->count + b->count);
-      co_return detail::leaf_intersect(st, a, b);
+      co_return detail::leaf_intersect(ex, st, detail::run_of(a),
+                                       detail::run_of(b));
     }
   }
   if (a->pri < b->pri) std::swap(a, b);
@@ -1428,8 +1481,8 @@ Task<Node<P, E>*> diff_strict(Ex ex, Store<P, E>& st, Node<P, E>* a,
   if (b == nullptr) co_return a;
   if constexpr (P::kMaxLeafCapacity > 0) {
     if (is_leaf(a) && is_leaf(b)) {
-      ex.on_leaf_op(a->count + b->count);
-      co_return detail::leaf_diff(st, a, b);
+      co_return detail::leaf_diff(ex, st, detail::run_of(a),
+                                  detail::run_of(b));
     }
   }
   if constexpr (P::kMaxLeafCapacity > 0) {

@@ -66,8 +66,8 @@ class Scheduler {
     std::uint64_t inject_overflows = 0;  // posts that missed the ring
     std::uint64_t inject_overflow_batches = 0;  // one-lock overflow drains
     std::uint64_t serial_cutoffs = 0;    // substrate serial-path activations
-    std::uint64_t leaf_ops = 0;          // leaf-chunk fast-path activations
-    std::uint64_t aug_ops = 0;           // aggregate recomputation fibers
+    std::uint64_t leaf_ops = 0;          // leaf-chunk merges, splits, joins
+    std::uint64_t aug_ops = 0;           // aggregate recomputations
     std::uint64_t rebalances = 0;        // shard split/join ops launched
     std::uint64_t wakeups = 0;           // park_cv_ signals issued by post()
     std::uint64_t io_parks = 0;          // fibers parked on an fd or timer
@@ -85,13 +85,15 @@ class Scheduler {
     serial_cutoffs_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Called by RtExec when a body resolves an operation entirely inside flat
-  // leaf chunks (docs/storage.md) — the cache-economy column of E19/E24.
+  // Called by RtExec for each merge, split, difference, intersection or
+  // concatenation of flat leaf chunks (docs/storage.md), in the pipelined
+  // and the path bodies alike — the cache-economy column of E19/E24.
   void note_leaf_op() {
     leaf_ops_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Called by RtExec when an aug_into fiber recomputes a node's aggregate
+  // Called by RtExec when an aug_into fiber recomputes a node's aggregate,
+  // or a path body combines a rebuilt node's aggregate inline
   // (docs/augmentation.md) — the augmentation-overhead column of E25.
   void note_aug_op() {
     aug_ops_.fetch_add(1, std::memory_order_relaxed);

@@ -932,12 +932,275 @@ TEST_P(ExecEquivalenceThreshold, SmallIntoLargeSumAug) {
   check_small_into_large<SumAugEntry>(GetParam());
 }
 
+// ---- computed small operand against a large one -----------------------------
+// A cutoff hands its small operand to the path bodies as one sorted run: a
+// leaf chunk is one already, and any other small tree is first copied in key
+// order into one array. Here the small operand is a computed result, the
+// union of two small built treaps, so its entries sit in several arrays and
+// internal nodes. It is applied as either operand of union, difference and
+// intersection against a large treap. The RecExec leg also runs at leaf
+// capacity 1, where a run becomes a treap through the spine build.
+
+// Waits until every node cell and aggregate cell of a runtime treap is
+// written, so that validate() may peek them.
+template <typename C>
+void settle(C* root) {
+  pt::visit_nodes(
+      root, [](auto* c) { return c->wait_blocking(); },
+      [](auto* n) {
+        if constexpr (std::remove_pointer_t<decltype(n)>::Entry::kHasAug)
+          n->aug->wait_blocking();
+      });
+}
+
+template <typename E>
+void check_computed_small_into_large(std::size_t small_n) {
+  const std::size_t thr = pipelined::RtExec::kDefaultSerialThreshold;
+  const auto large_keys = random_keys(64 * thr, 23 * small_n + 1);
+  std::set<Key> small_set;  // half shared with the large operand
+  Rng rng(23 * small_n + 2);
+  while (small_set.size() < small_n)
+    small_set.insert(small_set.size() % 2 == 0
+                         ? large_keys[rng.below(large_keys.size())]
+                         : rng.range(0, 1 << 22));
+  const auto items = [](const auto& keys, std::int64_t salt) {
+    std::vector<KeyValue> out;
+    for (Key k : keys)
+      out.emplace_back(k, static_cast<std::int64_t>(
+                              (k * 2654435761u + salt) % 1000) + 1);
+    return out;
+  };
+  struct Shape {
+    SetOp op;
+    bool small_first;
+    std::vector<KeyValue> large, half1, half2, expected;
+    std::string what;
+  };
+  std::vector<Shape> shapes;
+  for (const SetOp op : {SetOp::kUnion, SetOp::kDiff, SetOp::kIntersect}) {
+    // Intersection sees one value per key (see check_small_into_large).
+    const auto large = items(large_keys, 0);
+    const auto small = items(small_set, op == SetOp::kIntersect ? 0 : 7);
+    std::vector<KeyValue> half1, half2;  // disjoint, interleaved keys
+    for (std::size_t i = 0; i < small.size(); ++i)
+      (i % 2 == 0 ? half1 : half2).push_back(small[i]);
+    const std::string name = op == SetOp::kUnion  ? "union"
+                             : op == SetOp::kDiff ? "difference"
+                                                  : "intersection";
+    shapes.push_back({op, false, large, half1, half2,
+                      set_op_oracle(op, large, small),
+                      name + " large-computed"});
+    shapes.push_back({op, true, large, half1, half2,
+                      set_op_oracle(op, small, large),
+                      name + " computed-large"});
+  }
+
+  {
+    cm::Engine eng;  // CmExec: threshold 0, the control group
+    eng.set_crew(E::kHasAug);
+    pt::Store<pipelined::CmPolicy, E> st(eng);
+    const auto peekf = [](const auto* c) { return pipelined::CmPolicy::peek(c); };
+    const auto run = [&](SetOp op, auto* a, auto* b) {
+      auto* out = st.cell();
+      eng.fork([&] {
+        pipelined::run_inline(
+            set_op_body(op, pipelined::CmExec(eng), st, a, b, out));
+      });
+      return out;
+    };
+    for (const Shape& s : shapes) {
+      auto* small = run(SetOp::kUnion, st.input(build_items(st, s.half1)),
+                        st.input(build_items(st, s.half2)));
+      auto* large = st.input(build_items(st, s.large));
+      auto* out = s.small_first ? run(s.op, small, large)
+                                : run(s.op, large, small);
+      expect_items<E>(out, peekf, s.expected, "CmExec " + s.what);
+      EXPECT_TRUE(pt::validate(st, peekf(out))) << "CmExec " << s.what;
+    }
+  }
+  {
+    cm::Engine eng;  // CmStrictExec
+    eng.set_crew(E::kHasAug);
+    pt::Store<pipelined::CmPolicy, E> st(eng);
+    const auto peekf = [](const auto* c) { return pipelined::CmPolicy::peek(c); };
+    const pipelined::CmStrictExec ex(eng);
+    for (const Shape& s : shapes) {
+      auto* small = set_op_strict(SetOp::kUnion, ex, st,
+                                  build_items(st, s.half1),
+                                  build_items(st, s.half2));
+      auto* large = build_items(st, s.large);
+      auto* n = s.small_first ? set_op_strict(s.op, ex, st, small, large)
+                              : set_op_strict(s.op, ex, st, large, small);
+      expect_items<E>(st.input(n), peekf, s.expected,
+                      "CmStrictExec " + s.what);
+      EXPECT_TRUE(pt::validate(st, n)) << "CmStrictExec " << s.what;
+    }
+  }
+  {
+    rt::Scheduler sched(2);  // RtExec: chunked leaves, default threshold
+    pt::Store<pipelined::RtPolicy, E> st;
+    const auto waitf = [](auto* c) { return c->wait_blocking(); };
+    const auto run = [&](SetOp op, auto* a, auto* b) {
+      auto* out = st.cell();
+      pipelined::RtExec ex;
+      ex.fork(set_op_body(op, ex, st, a, b, out));
+      return out;
+    };
+    for (const Shape& s : shapes) {
+      auto* small = run(SetOp::kUnion, st.input(build_items(st, s.half1)),
+                        st.input(build_items(st, s.half2)));
+      settle(small);  // written, so the cutoff copies it into one run
+      auto* large = st.input(build_items(st, s.large));
+      auto* out = s.small_first ? run(s.op, small, large)
+                                : run(s.op, large, small);
+      expect_items<E>(out, waitf, s.expected, "RtExec " + s.what);
+      settle(out);
+      EXPECT_TRUE(pt::validate(st, out->peek())) << "RtExec " << s.what;
+    }
+  }
+  for (const std::size_t cap : {pt::kDefaultLeafCapacity, std::size_t{1}}) {
+    cm::Engine eng(/*trace=*/true);  // RecExec: the runtime's code paths
+    eng.set_crew(E::kHasAug);        // aug fibers re-read node cells
+    analyze::RecExec ex(eng, thr);
+    pt::Store<analyze::RecPolicy, E> st(eng, pt::kDefaultSalt, cap);
+    const auto rpeek = [](const auto* c) { return analyze::RecPolicy::peek(c); };
+    const auto run = [&](SetOp op, auto* a, auto* b) {
+      auto* out = st.cell();
+      eng.fork([&] {
+        pipelined::run_inline(set_op_body(op, ex, st, a, b, out));
+      });
+      return out;
+    };
+    const std::string leg = "RecExec (leaf-cap " + std::to_string(cap) + ") ";
+    for (const Shape& s : shapes) {
+      auto* small = run(SetOp::kUnion, st.input(build_items(st, s.half1)),
+                        st.input(build_items(st, s.half2)));
+      auto* large = st.input(build_items(st, s.large));
+      auto* out = s.small_first ? run(s.op, small, large)
+                                : run(s.op, large, small);
+      expect_items<E>(out, rpeek, s.expected, leg + s.what);
+      EXPECT_TRUE(pt::validate(st, rpeek(out))) << leg << s.what;
+    }
+    EXPECT_GT(eng.serial_cutoffs(), 0u) << leg;
+    ASSERT_NE(eng.trace(), nullptr);
+    analyze::Options opts;
+    opts.check_linearity = false;
+    opts.check_erew = !E::kHasAug;
+    const analyze::Report rep = analyze::verify(*eng.trace(), opts);
+    EXPECT_TRUE(rep.ok()) << leg << rep.to_string();
+  }
+}
+
+TEST_P(ExecEquivalenceThreshold, ComputedSmallIntoLargeSet) {
+  check_computed_small_into_large<pt::SetEntry>(GetParam());
+}
+
+TEST_P(ExecEquivalenceThreshold, ComputedSmallIntoLargeMap) {
+  check_computed_small_into_large<pt::MapEntry<std::int64_t>>(GetParam());
+}
+
+TEST_P(ExecEquivalenceThreshold, ComputedSmallIntoLargeSumAug) {
+  check_computed_small_into_large<SumAugEntry>(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sizes, ExecEquivalenceThreshold,
     ::testing::Values(pipelined::RtExec::kDefaultSerialThreshold - 1,
                       pipelined::RtExec::kDefaultSerialThreshold,
                       pipelined::RtExec::kDefaultSerialThreshold + 1,
                       2 * pipelined::RtExec::kDefaultSerialThreshold));
+
+// ---- bytes allocated per small-batch key ------------------------------------
+// The recording substrate's arena counts every byte it hands out, so what the
+// path bodies allocate per key of a small batch is deterministic. Shape:
+// 16-key batches against a 2^16-key map at the default leaf capacity and
+// serial threshold. A union or difference copies the search paths it
+// rebuilds and re-chunks the leaf chunks it merges into; splitting the batch
+// itself, a sorted run, allocates nothing. An intersection with the batch
+// first keeps at most the batch's keys, so its result is far smaller.
+
+TEST(RecPathAllocation, SixteenKeyBatchesStayWithinBudget) {
+  using E = pt::MapEntry<std::int64_t>;
+  cm::Engine eng(/*trace=*/true);
+  const analyze::RecExec ex(eng, pipelined::RtExec::kDefaultSerialThreshold);
+  pt::Store<analyze::RecPolicy, E> st(eng, pt::kDefaultSalt,
+                                      pt::kDefaultLeafCapacity);
+  std::vector<KeyValue> base;
+  for (Key k = 0; k < (1 << 16); ++k) base.emplace_back(2 * k, k);
+  auto* const large = st.input(build_items(st, base));
+
+  Rng rng(29);
+  std::vector<std::vector<KeyValue>> batches(64);
+  for (auto& batch : batches) {
+    std::map<Key, std::int64_t> m;
+    for (int i = 0; i < 16; ++i)
+      m.emplace(rng.range(0, 1 << 17), rng.range(1, 100));
+    batch.assign(m.begin(), m.end());
+  }
+  const auto run = [&](SetOp op, auto* a, auto* b) {
+    auto* out = st.cell();
+    eng.fork([&] {
+      pipelined::run_inline(set_op_body(op, ex, st, a, b, out));
+    });
+    return out;
+  };
+  // Arena bytes per batch key that `op(batch cell)` allocates, the batch's
+  // own build excluded.
+  const auto bytes_per_key = [&](auto op) {
+    std::size_t bytes = 0, keys = 0;
+    for (const auto& batch : batches) {
+      auto* small = st.input(build_items(st, batch));
+      const std::size_t before = st.bytes_used();
+      op(small);
+      bytes += st.bytes_used() - before;
+      keys += batch.size();
+    }
+    return static_cast<double>(bytes) / static_cast<double>(keys);
+  };
+  const auto items_of = [](auto* c) {
+    std::vector<KeyValue> got;
+    pt::visit_items(
+        c, [](const auto* x) { return analyze::RecPolicy::peek(x); },
+        [&](Key k, const std::int64_t& v) { got.emplace_back(k, v); });
+    return got;
+  };
+
+  auto* cur = large;
+  const double union_bpk = bytes_per_key([&](auto* s) {
+    cur = run(SetOp::kUnion, cur, s);
+  });
+  const std::map<Key, std::int64_t> base_map(base.begin(), base.end());
+  std::map<Key, std::int64_t> want = base_map;
+  for (const auto& batch : batches) {
+    for (const auto& [k, v] : batch) {
+      auto [it, fresh] = want.emplace(k, v);
+      if (!fresh) it->second = MergeTwiceAMinusB{}(it->second, v);
+    }
+  }
+  EXPECT_EQ(items_of(cur), std::vector<KeyValue>(want.begin(), want.end()));
+
+  cur = large;
+  const double diff_bpk = bytes_per_key([&](auto* s) {
+    cur = run(SetOp::kDiff, cur, s);
+  });
+  want = base_map;
+  for (const auto& batch : batches)
+    for (const auto& [k, v] : batch) want.erase(k);
+  EXPECT_EQ(items_of(cur), std::vector<KeyValue>(want.begin(), want.end()));
+
+  std::size_t kept = 0;
+  const double intersect_bpk = bytes_per_key([&](auto* s) {
+    kept += items_of(run(SetOp::kIntersect, s, large)).size();
+  });
+  std::size_t want_kept = 0;
+  for (const auto& batch : batches)
+    for (const auto& [k, v] : batch) want_kept += base_map.count(k);
+  EXPECT_EQ(kept, want_kept);
+
+  EXPECT_LE(union_bpk, 1800.0);
+  EXPECT_LE(diff_bpk, 1800.0);
+  EXPECT_LE(intersect_bpk, 700.0);
+}
 
 // ---- leaf-chunk boundary straddle -------------------------------------------
 // Runtime treaps store subtrees at or below Store::leaf_capacity() as flat

@@ -540,6 +540,47 @@ TEST(ParallelMapPathCutoff, SmallBatchesResumeAtMostEightFibers) {
   }
 }
 
+// The path bodies count their work in the scheduler stats as the pipelined
+// bodies do: a small batch applied to a flushed index merges into at least
+// one leaf chunk and combines at least one rebuilt node's aggregate inline.
+TEST(ParallelMapPathCutoff, SmallBatchesCountLeafAndAugOps) {
+  Scheduler sched(2);
+  Rng rng(73);
+  ParallelMap<std::int64_t, SumAug> m(sched);
+  auto add = [](std::int64_t x, std::int64_t y) { return x + y; };
+  std::map<map::Key, std::int64_t> ref;
+  std::vector<Item> base;
+  for (map::Key k = 0; k < (1 << 16); ++k) base.emplace_back(2 * k, k % 97);
+  m.insert_batch(base, add);
+  ref.insert(base.begin(), base.end());
+  m.flush();
+
+  for (int round = 0; round < 4; ++round) {
+    std::vector<Item> batch;  // half hit existing keys, half are new
+    for (int i = 0; i < 16; ++i)
+      batch.emplace_back(rng.range(0, 1 << 17),
+                         static_cast<std::int64_t>(rng.below(100)));
+    const Scheduler::Stats before_insert = sched.stats();
+    m.insert_batch(batch, add);
+    m.flush();
+    const Scheduler::Stats after_insert = sched.stats();
+    EXPECT_GE(after_insert.leaf_ops - before_insert.leaf_ops, 1u) << round;
+    EXPECT_GE(after_insert.aug_ops - before_insert.aug_ops, 1u) << round;
+    for (const auto& [k, v] : batch) ref[k] += v;
+
+    std::vector<map::Key> gone;
+    for (int i = 0; i < 16; ++i) gone.push_back(rng.range(0, 1 << 17));
+    m.erase_batch(gone);
+    m.flush();
+    const Scheduler::Stats after_erase = sched.stats();
+    EXPECT_GE(after_erase.leaf_ops - after_insert.leaf_ops, 1u) << round;
+    EXPECT_GE(after_erase.aug_ops - after_insert.aug_ops, 1u) << round;
+    for (map::Key k : gone) ref.erase(k);
+  }
+  EXPECT_EQ(m.items(), std::vector<Item>(ref.begin(), ref.end()));
+  EXPECT_EQ(m.aggregate(0, 1 << 17), fold_range(ref, 0, 1 << 17));
+}
+
 // Small batches chained without flushing behind larger ones that are still
 // materializing: the serial path bodies meet unwritten structure and
 // aggregate cells and fork the pipelined bodies there, while a reader races
