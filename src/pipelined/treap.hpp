@@ -636,16 +636,17 @@ Node<P, E>* leaf_diff(Ex ex, Store<P, E>& st, Run<E> a, Run<E> b) {
   return st.chunked(Run<E>(out, static_cast<std::size_t>(w - out)));
 }
 
-// Sorted-array intersection (a's values survive).
+// Sorted-array intersection (a's values survive). The output is allocated
+// at the first shared key, so an empty intersection allocates nothing.
 template <typename Ex, typename P, typename E>
 Node<P, E>* leaf_intersect(Ex ex, Store<P, E>& st, Run<E> a, Run<E> b) {
   count_leaf_op(ex, st, a.size() + b.size());
-  LeafEntryT<E>* out = st.alloc_entries(std::min(a.size(), b.size()));
   const LeafEntryT<E>* x = a.data();
   const LeafEntryT<E>* xe = x + a.size();
   const LeafEntryT<E>* y = b.data();
   const LeafEntryT<E>* ye = y + b.size();
-  LeafEntryT<E>* w = out;
+  LeafEntryT<E>* out = nullptr;
+  LeafEntryT<E>* w = nullptr;
   while (x != xe && y != ye) {
     prefetch(x + 4);
     prefetch(y + 4);
@@ -654,6 +655,9 @@ Node<P, E>* leaf_intersect(Ex ex, Store<P, E>& st, Run<E> a, Run<E> b) {
     } else if (y->key < x->key) {
       ++y;
     } else {
+      if (out == nullptr)
+        w = out = st.alloc_entries(
+            static_cast<std::size_t>(std::min(xe - x, ye - y)));
       *w++ = *x++;
       ++y;
     }
@@ -814,9 +818,12 @@ PathSplit<P, E> split_path(Ex ex, Store<P, E>& st, Key s, Node<P, E>* t) {
 }
 
 // join of two result cells (every key of l below every key of r): serial
-// down the written spines, forking join_entry where a spine cell is not.
+// down the written spines, forking join_entry where a spine cell is not. A
+// null cell is an empty side (see nil_if_empty).
 template <typename Ex, typename P, typename E>
 Cell<P, E>* join_path(Ex ex, Store<P, E>& st, Cell<P, E>* l, Cell<P, E>* r) {
+  if (l == nullptr) return r;
+  if (r == nullptr) return l;
   if (P::ready(l) && P::ready(r)) {
     Node<P, E>* tl = P::peek(l);
     Node<P, E>* tr = P::peek(r);
@@ -915,19 +922,34 @@ Cell<P, E>* diff_path(Ex ex, Store<P, E>& st, Cell<P, E>* c, Run<E> s) {
   return st.input(rebuilt(ex, st, t->key, t->pri, t->value, l, r));
 }
 
+// The two filtering path bodies below (intersection, and a small run minus
+// a large side) return null for an empty result instead of a nil cell:
+// join_path drops an empty side, and a rebuilt node takes a fresh nil cell
+// for it here, one per consumer.
+template <typename P, typename E>
+Cell<P, E>* nil_if_empty(Store<P, E>& st, Cell<P, E>* c) {
+  return c != nullptr ? c : st.input(nullptr);
+}
+
+// A result cell over a leaf body's output; null (empty) for no node.
+template <typename P, typename E>
+Cell<P, E>* leaf_cell(Store<P, E>& st, Node<P, E>* n) {
+  return n != nullptr ? st.input(n) : nullptr;
+}
+
 // a \ b with a the run `s` and b large (cell `c`): the result is a subset of
-// a, found along b's search paths for a's keys. Where the path for the
-// run's root is not written, the forked diff_into skips the cutoff (its
-// path check fails) and takes one pipelined step on that root, so each such
-// fork shrinks s.
+// a, found along b's search paths for a's keys; null if empty. Where the
+// path for the run's root is not written, the forked diff_into skips the
+// cutoff (its path check fails) and takes one pipelined step on that root,
+// so each such fork shrinks s.
 template <typename Ex, typename P, typename E>
 Cell<P, E>* diff_path_small(Ex ex, Store<P, E>& st, Run<E> s, Cell<P, E>* c) {
-  if (s.empty()) return st.input(nullptr);
+  if (s.empty()) return nullptr;
   if (P::ready(c)) {
     Node<P, E>* t = P::peek(c);
     if (t == nullptr) return st.input(st.treap_of(s));
     if constexpr (P::kMaxLeafCapacity > 0) {
-      if (is_leaf(t)) return st.input(leaf_diff(ex, st, s, run_of(t)));
+      if (is_leaf(t)) return leaf_cell(st, leaf_diff(ex, st, s, run_of(t)));
     }
     const std::size_t top = top_of(s);
     const LeafEntryT<E>& r = s[top];
@@ -936,7 +958,8 @@ Cell<P, E>* diff_path_small(Ex ex, Store<P, E>& st, Run<E> s, Cell<P, E>* c) {
       Cell<P, E>* lc = diff_path_small(ex, st, s.first(top), sp.less);
       Cell<P, E>* rc = diff_path_small(ex, st, s.subspan(top + 1), sp.greater);
       if (sp.equal != nullptr) return join_path(ex, st, lc, rc);
-      return st.input(rebuilt(ex, st, r.key, r.pri, r.value, lc, rc));
+      return st.input(rebuilt(ex, st, r.key, r.pri, r.value,
+                              nil_if_empty(st, lc), nil_if_empty(st, rc)));
     }
   }
   Cell<P, E>* out = st.cell();
@@ -944,21 +967,22 @@ Cell<P, E>* diff_path_small(Ex ex, Store<P, E>& st, Run<E> s, Cell<P, E>* c) {
   return out;
 }
 
-// Intersection of the large-side cell `c` with the run `s`. `large_first`
-// says the large side is the pipelined body's first operand at this depth:
-// it keeps the root (and so the value) when both roots hold the same key,
-// and its chunk's values survive a leaf intersection.
+// Intersection of the large-side cell `c` with the run `s`; null if empty.
+// `large_first` says the large side is the pipelined body's first operand
+// at this depth: it keeps the root (and so the value) when both roots hold
+// the same key, and its chunk's values survive a leaf intersection.
 template <typename Ex, typename P, typename E>
 Cell<P, E>* intersect_path(Ex ex, Store<P, E>& st, Cell<P, E>* c, Run<E> s,
                            bool large_first) {
-  if (s.empty()) return st.input(nullptr);
+  if (s.empty()) return nullptr;
   if (P::ready(c)) {
     Node<P, E>* t = P::peek(c);
     if (t == nullptr) return c;
     if constexpr (P::kMaxLeafCapacity > 0) {
       if (is_leaf(t))
-        return st.input(large_first ? leaf_intersect(ex, st, run_of(t), s)
-                                    : leaf_intersect(ex, st, s, run_of(t)));
+        return leaf_cell(st, large_first
+                                 ? leaf_intersect(ex, st, run_of(t), s)
+                                 : leaf_intersect(ex, st, s, run_of(t)));
     }
     const std::size_t top = top_of(s);
     const LeafEntryT<E>& r = s[top];
@@ -967,7 +991,8 @@ Cell<P, E>* intersect_path(Ex ex, Store<P, E>& st, Cell<P, E>* c, Run<E> s,
       Cell<P, E>* lc = intersect_path(ex, st, t->left, sp.less, true);
       Cell<P, E>* rc = intersect_path(ex, st, t->right, sp.greater, true);
       if (sp.equal == nullptr) return join_path(ex, st, lc, rc);
-      return st.input(rebuilt(ex, st, t->key, t->pri, t->value, lc, rc));
+      return st.input(rebuilt(ex, st, t->key, t->pri, t->value,
+                              nil_if_empty(st, lc), nil_if_empty(st, rc)));
     }
     if (path_written(t, r.key)) {
       const PathSplit<P, E> sp = split_path(ex, st, r.key, t);
@@ -975,7 +1000,8 @@ Cell<P, E>* intersect_path(Ex ex, Store<P, E>& st, Cell<P, E>* c, Run<E> s,
       Cell<P, E>* rc =
           intersect_path(ex, st, sp.greater, s.subspan(top + 1), false);
       if (sp.equal == nullptr) return join_path(ex, st, lc, rc);
-      return st.input(rebuilt(ex, st, r.key, r.pri, r.value, lc, rc));
+      return st.input(rebuilt(ex, st, r.key, r.pri, r.value,
+                              nil_if_empty(st, lc), nil_if_empty(st, rc)));
     }
   }
   Cell<P, E>* out = st.cell();
@@ -1246,7 +1272,9 @@ Fiber diff_into(Ex ex, Store<P, E>& st, Cell<P, E>* a, Cell<P, E>* b,
       const Run<E> s = detail::small_run(st, a_low ? t1 : t2, thr - budget);
       Cell<P, E>* res = a_low ? detail::diff_path_small(ex, st, s, b)
                               : detail::diff_path(ex, st, a, s);
-      publish(ex, out, co_await ex.touch(res));
+      Node<P, E>* n = nullptr;  // a null result cell is an empty result
+      if (res != nullptr) n = co_await ex.touch(res);
+      publish(ex, out, n);
       co_return;
     }
   }
@@ -1307,7 +1335,9 @@ Fiber intersect_into(Ex ex, Store<P, E>& st, Cell<P, E>* a, Cell<P, E>* b,
       const Run<E> s = detail::small_run(st, a_low ? ta : tb, thr - budget);
       Cell<P, E>* res = a_low ? detail::intersect_path(ex, st, b, s, false)
                               : detail::intersect_path(ex, st, a, s, true);
-      publish(ex, out, co_await ex.touch(res));
+      Node<P, E>* n = nullptr;  // a null result cell is an empty result
+      if (res != nullptr) n = co_await ex.touch(res);
+      publish(ex, out, n);
       co_return;
     }
   }

@@ -23,13 +23,13 @@
 // `requires`-constrained; every other member is one body for all entries.
 //
 // Thread contract: one mutator thread at a time (batches chain through a
-// single root, like any sequential API); any number of concurrent reader
-// threads. `compact()` may run concurrently with readers: reads announce
-// themselves through a seq_cst reader count before loading the root, and
-// compact publishes the fresh root before spinning the count down to zero —
-// so a reader either sees the new root or finishes on the old store before
-// it is freed. Snapshots and the async walks pin their epoch's stores by
-// shared_ptr instead (refcounted epoch retirement) and read lock-free.
+// single root, like any sequential API; analyze builds abort on a second
+// one); any number of concurrent reader threads. Every read walks a pin: a
+// shared_ptr to the immutable storage epoch plus a root, taken together
+// under a mutex that is never held while a read waits on a cell. compact()
+// and absorb() publish a new epoch instead of changing the old one, so
+// compact() may run beside readers without waiting for them: the old
+// stores are freed when the last pin on them drops.
 //
 // The index borrows a Scheduler (one scheduler per process may be alive;
 // see runtime/scheduler.hpp) and owns its node storage. Values must be
@@ -44,7 +44,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -54,6 +53,8 @@
 #include "support/check.hpp"
 
 #if PWF_ANALYZE
+#include <thread>
+
 #include "analyze/rt_recorder.hpp"
 #endif
 
@@ -66,7 +67,7 @@ struct IndexStats {
   std::uint64_t max_pending = 0;  // high-water mark of unflushed batches
   std::uint64_t flushes = 0;      // quiescence points (explicit + implied)
   std::uint64_t epochs = 0;       // compactions (store replacements)
-  std::uint64_t arena_bytes = 0;  // current store footprint
+  std::uint64_t arena_bytes = 0;  // store + absorbed stores
 };
 
 // Software cache-economy of the current tree (docs/storage.md): storage
@@ -116,6 +117,45 @@ std::vector<Item> sorted_items(std::span<const Item> items, Merge merge) {
   return out;
 }
 
+// The storage an index's tree lives in: the store its batches allocate in,
+// plus the stores of shards it absorbed since the last compact() (the tree
+// links their nodes). Immutable once published — compact() and absorb()
+// publish a new one — so pinning it is one shared_ptr copy.
+template <typename Store>
+struct Epoch {
+  std::shared_ptr<Store> store;
+  std::vector<std::shared_ptr<const Store>> absorbed;
+};
+
+template <typename E>
+using PinOf = rtasync::Pinned<Epoch<map::StoreOf<E>>, map::CellOf<E>>;
+
+// The single-mutator rule, enforced in analyze builds: a mutator call holds
+// its service's token while it runs, and a call from another thread
+// meanwhile aborts. Release builds compile it to nothing.
+struct MutatorToken {
+#if PWF_ANALYZE
+  std::atomic<std::thread::id> owner{};
+  struct Hold {
+    std::atomic<std::thread::id>& owner;
+    ~Hold() { owner.store(std::thread::id{}); }
+  };
+  Hold hold() {
+    std::thread::id none;
+    const bool mine =
+        owner.compare_exchange_strong(none, std::this_thread::get_id());
+    PWF_CHECK_MSG(mine, "concurrent mutator calls on one service (one "
+                        "mutator thread at a time)");
+    return {owner};
+  }
+#else
+  struct Hold {
+    ~Hold() {}  // user-provided: no unused-variable warning at call sites
+  };
+  Hold hold() { return {}; }
+#endif
+};
+
 }  // namespace detail
 
 template <typename E>
@@ -124,12 +164,11 @@ template <typename I>
 class Sharded;
 
 // Snapshot<E> — an immutable, epoch-pinned view of an Index (SetSnapshot,
-// MapSnapshot<V, A>). It holds shared_ptrs to the stores of the epoch it
-// was taken in, so its nodes stay alive across any number of later
-// compact() calls. Reads are lock-free: no reader count, no mutex — the
-// root cell is fixed and every reachable cell is written exactly once, so
-// traversal waits on cells at most (a batch chained before the snapshot may
-// still be materializing) and is plain loads afterwards.
+// MapSnapshot<V, A>). It holds a pin on the epoch it was taken in, so its
+// nodes stay alive across any number of later compact() calls. Reads are
+// lock-free: the root cell is fixed and every reachable cell is written
+// exactly once, so traversal waits on cells at most (a batch chained before
+// the snapshot may still be materializing) and is plain loads afterwards.
 template <typename E>
 class Snapshot {
  public:
@@ -166,10 +205,9 @@ class Snapshot {
 
  private:
   friend class Index<E>;
-  explicit Snapshot(rtasync::Pinned<map::StoreOf<E>, map::CellOf<E>> pin)
-      : pin_(std::move(pin)) {}
+  explicit Snapshot(detail::PinOf<E> pin) : pin_(std::move(pin)) {}
 
-  rtasync::Pinned<map::StoreOf<E>, map::CellOf<E>> pin_;
+  detail::PinOf<E> pin_;
 };
 
 template <typename E>
@@ -181,7 +219,8 @@ class Index {
   using Item = map::Item<E>;  // a key for key-only entries, else (key, value)
   using Store = map::StoreOf<E>;
   using Cell = map::CellOf<E>;
-  using Pin = rtasync::Pinned<Store, Cell>;
+  using Epoch = detail::Epoch<Store>;
+  using Pin = detail::PinOf<E>;
   using Stats = IndexStats;
   using CacheEconomy = IndexCacheEconomy;
   static constexpr bool kMap = E::kHasValue;
@@ -193,8 +232,8 @@ class Index {
       : sched_(sched),
         salt_(salt),
         leaf_cap_(leaf_cap),
-        store_(std::make_shared<Store>(salt, leaf_cap)),
-        root_(store_->input(nullptr)) {}
+        epoch_(fresh_epoch()),
+        root_(store().input(nullptr)) {}
 
   // Initial contents (cheaper than insert_batch on an empty set).
   Index(Scheduler& sched, std::span<const Key> keys,
@@ -204,11 +243,11 @@ class Index {
       : sched_(sched),
         salt_(salt),
         leaf_cap_(leaf_cap),
-        store_(std::make_shared<Store>(salt, leaf_cap)),
+        epoch_(fresh_epoch()),
         root_(nullptr) {
     const std::vector<Key> sorted = detail::sorted_keys(keys);
     size_.store(sorted.size(), std::memory_order_relaxed);
-    root_.store(store_->input(store_->build(sorted)),
+    root_.store(store().input(store().build(sorted)),
                 std::memory_order_release);
   }
 
@@ -286,10 +325,10 @@ class Index {
     flushes_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // The epoch pin the async walks and snapshots travel with; O(1).
+  // The epoch pin every read walks; O(1).
   Pin pinned() const {
     std::lock_guard<std::mutex> lk(snap_mu_);
-    return Pin{store_, keep_alive_, root_.load(std::memory_order_seq_cst)};
+    return Pin{epoch_, root_.load(std::memory_order_acquire)};
   }
 
   // Pins the current epoch and root into an immutable lock-free view. May
@@ -301,36 +340,18 @@ class Index {
   // Quiescence + storage epoch: rebuilds the index into a fresh chunked
   // store and frees every node superseded by past batches (the arena is
   // monotonic, so a long-lived service must compact periodically). Safe
-  // against concurrent readers (see the thread contract above); still a
-  // mutator — one at a time, not concurrent with batch calls.
+  // against concurrent readers, and does not wait for them: the old epoch
+  // — with the stores of absorbed shards — is freed when the last pin on
+  // it drops. Still a mutator: one at a time, not concurrent with batches.
   void compact() {
+    const auto hold = owner_.hold();
     const std::vector<Item> contents = entries();  // forces pending batches
     // Forcing the result tree is not fiber quiescence: stragglers whose
     // outputs aren't in the final tree still read the old arena.
     FramePool::wait_quiescent();
-    auto fresh = std::make_shared<Store>(salt_, leaf_cap_);
-    Cell* next = fresh->input(fresh->build(contents));
-    // Dekker publish: the seq_cst store is ordered against every reader's
-    // seq_cst announce. A reader that loaded the old root has incremented
-    // active_readers_ before this store, so the drain loop below observes
-    // it; a reader announcing later is guaranteed to load the fresh root.
-    // The (store_, root_) pair is swapped under snap_mu_ so pinned() never
-    // pairs a root with the wrong epoch's store.
-    std::shared_ptr<Store> old;
-    std::vector<std::shared_ptr<const Store>> merged;
-    {
-      std::lock_guard<std::mutex> lk(snap_mu_);
-      root_.store(next, std::memory_order_seq_cst);
-      old = std::exchange(store_, std::move(fresh));
-      merged = std::exchange(keep_alive_, {});
-    }
-    while (active_readers_.load(std::memory_order_seq_cst) != 0)
-      std::this_thread::yield();
-    // Refcounted epoch retirement: frees every superseded node and cell now
-    // — including arenas of shards absorbed by adaptive merges — unless a
-    // live snapshot or async walk still pins the old epoch.
-    old.reset();
-    merged.clear();
+    std::shared_ptr<const Epoch> fresh = fresh_epoch();
+    Cell* next = fresh->store->input(fresh->store->build(contents));
+    publish(std::move(fresh), next);
     size_.store(contents.size(), std::memory_order_relaxed);
     size_valid_.store(true, std::memory_order_relaxed);
     drop_pending();
@@ -396,9 +417,9 @@ class Index {
     s.max_pending = max_pending_.load(std::memory_order_relaxed);
     s.flushes = flushes_.load(std::memory_order_relaxed);
     s.epochs = epochs_.load(std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lk(snap_mu_);
-    s.arena_bytes = store_->bytes_used();
-    for (const auto& ka : keep_alive_) s.arena_bytes += ka->bytes_used();
+    const Pin p = pinned();
+    s.arena_bytes = p.epoch->store->bytes_used();
+    for (const auto& a : p.epoch->absorbed) s.arena_bytes += a->bytes_used();
     return s;
   }
 
@@ -411,9 +432,9 @@ class Index {
     out.internal_nodes = ce.internal_nodes;
     out.leaf_chunks = ce.leaf_chunks;
     out.leaf_keys = ce.leaf_keys;
-    out.leaf_ops = p.store->leaf_ops();
-    out.arena_bytes = p.store->bytes_used();
-    out.wasted_padding = p.store->wasted_padding();
+    out.leaf_ops = p.epoch->store->leaf_ops();
+    out.arena_bytes = p.epoch->store->bytes_used();
+    out.wasted_padding = p.epoch->store->wasted_padding();
     return out;
   }
 
@@ -425,26 +446,23 @@ class Index {
   // scheduler, overlapping in-flight batches.
 
   // Phase 1 of a split: forks a pipelined split at `pivot` and returns a new
-  // index owning the keys >= pivot (sharing this index's store and salt, so
+  // index owning the keys >= pivot (sharing this index's epoch and salt, so
   // node priorities stay consistent across future joins). This index keeps
   // answering from the *full* pre-split tree until complete_split()
   // installs the < pivot root — the caller republishes its routing table in
-  // between, so no reader routed by the old table can miss a key.
+  // between, and a reader that routed by the old table re-reads.
   std::unique_ptr<Index> split_off(Key pivot) {
+    const auto hold = owner_.hold();
     PWF_CHECK_MSG(split_pending_ == nullptr,
                   "split_off before the previous split completed");
     Cell* cur = root_.load(std::memory_order_acquire);
-    Cell* less = store_->cell();
-    Cell* geq = store_->cell();
-    map::split_maps(*store_, cur, pivot, less, geq);
+    Cell* less = store().cell();
+    Cell* geq = store().cell();
+    map::split_maps(store(), cur, pivot, less, geq);
+    // The >= half can link nodes from every store of this epoch (past
+    // merges), so the new shard shares the epoch.
     auto right = std::unique_ptr<Index>(
-        new Index(sched_, store_, geq, salt_, leaf_cap_));
-    {
-      // The >= half can reference nodes from every store this index keeps
-      // alive (past merges), so the new shard pins them too.
-      std::lock_guard<std::mutex> lk(snap_mu_);
-      right->keep_alive_ = keep_alive_;
-    }
+        new Index(sched_, epoch_, geq, salt_, leaf_cap_));
     right->account_chain();
     split_pending_ = less;
     return right;
@@ -452,48 +470,46 @@ class Index {
 
   // Phase 2: publish the keys-below-pivot root computed by split_off().
   void complete_split() {
+    const auto hold = owner_.hold();
     PWF_CHECK_MSG(split_pending_ != nullptr,
                   "complete_split without a pending split_off");
     account_chain();
-    std::lock_guard<std::mutex> lk(snap_mu_);
     root_.store(std::exchange(split_pending_, nullptr),
                 std::memory_order_release);
   }
 
   // Concatenates `right` — every key of which must be >= every key of this
   // index (adjacent shard ranges) — onto this pipeline with a pipelined
-  // join. `right` becomes an absorbed husk: its store is kept alive by this
-  // index until the next compact(), its counters fold into this index's,
+  // join. `right` becomes an absorbed husk: its stores join this index's
+  // epoch until the next compact(), its counters fold into this index's,
   // and its destructor skips quiescence (this pipeline owns the in-flight
-  // work now). The caller destroys the husk once no reader can still route
-  // to it.
+  // work now). A reader that pinned the husk keeps its stores alive itself.
   void absorb(Index& right) {
+    const auto hold = owner_.hold();
     PWF_CHECK_MSG(&right != this && !right.released_, "bad absorb operand");
     PWF_CHECK_MSG(split_pending_ == nullptr && right.split_pending_ == nullptr,
                   "absorb during an incomplete split");
     Cell* a = root_.load(std::memory_order_acquire);
     Cell* b = right.root_.load(std::memory_order_acquire);
-    // The join allocates in *this* store; right's arena (plus anything it
-    // kept alive) stays pinned below until compact() rebuilds.
-    Cell* out = map::join_maps(*store_, a, b);
+    // The join allocates in *this* store and links right's nodes, so right's
+    // stores stay in this index's epoch until compact() rebuilds.
+    Cell* out = map::join_maps(store(), a, b);
     account_chain();
-    {
-      std::lock_guard<std::mutex> lk(snap_mu_);
-      keep_alive_.push_back(right.store_);
-      keep_alive_.insert(keep_alive_.end(), right.keep_alive_.begin(),
-                         right.keep_alive_.end());
-      root_.store(out, std::memory_order_release);
-    }
+    Epoch next = *epoch_;
+    next.absorbed.push_back(right.epoch_->store);
+    next.absorbed.insert(next.absorbed.end(), right.epoch_->absorbed.begin(),
+                         right.epoch_->absorbed.end());
+    publish(std::make_shared<const Epoch>(std::move(next)), out);
     // Fold the husk's counters into the surviving pipeline: transferring
     // pending keeps the analyze-mode chained/flushed ledger balanced.
-    batches_.fetch_add(right.batches_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    overlapped_.fetch_add(right.overlapped_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    flushes_.fetch_add(right.flushes_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    epochs_.fetch_add(right.epochs_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
+    const auto fold = [](auto& into, const auto& from) {
+      into.fetch_add(from.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    };
+    fold(batches_, right.batches_);
+    fold(overlapped_, right.overlapped_);
+    fold(flushes_, right.flushes_);
+    fold(epochs_, right.epochs_);
     raise_max_pending(right.max_pending_.load(std::memory_order_relaxed));
     pending_.fetch_add(right.pending_.exchange(0, std::memory_order_relaxed),
                        std::memory_order_relaxed);
@@ -509,15 +525,33 @@ class Index {
   template <typename>
   friend class Sharded;
 
-  // Shares an existing store: the >= pivot half made by split_off().
-  Index(Scheduler& sched, std::shared_ptr<Store> store, Cell* root,
+  // Shares an existing epoch: the >= pivot half made by split_off().
+  Index(Scheduler& sched, std::shared_ptr<const Epoch> epoch, Cell* root,
         std::uint64_t salt, std::size_t leaf_cap)
       : sched_(sched),
         salt_(salt),
         leaf_cap_(leaf_cap),
-        store_(std::move(store)),
+        epoch_(std::move(epoch)),
         root_(root) {
     size_valid_.store(false, std::memory_order_relaxed);
+  }
+
+  std::shared_ptr<const Epoch> fresh_epoch() const {
+    return std::make_shared<const Epoch>(
+        Epoch{std::make_shared<Store>(salt_, leaf_cap_), {}});
+  }
+
+  // The store batches allocate in. Mutator side: only the mutator replaces
+  // epoch_, so it reads it without snap_mu_.
+  Store& store() const { return *epoch_->store; }
+
+  // Installs a new epoch and its root together, so pinned() never pairs a
+  // root with the wrong epoch. The old epoch is freed unless a reader still
+  // pins it: it leaves with `epoch`, after the lock is released.
+  void publish(std::shared_ptr<const Epoch> epoch, Cell* root) {
+    std::lock_guard<std::mutex> lk(snap_mu_);
+    epoch_.swap(epoch);
+    root_.store(root, std::memory_order_release);
   }
 
   // The batch ops, shared with the router. `sorted()` yields the batch
@@ -542,9 +576,10 @@ class Index {
   // overlaps when its call finds the previous one still materializing.
   template <typename Sorted, typename Op>
   void chain_batch(Sorted sorted, Op op) {
+    const auto hold = owner_.hold();
     Cell* cur = root_.load(std::memory_order_acquire);
     if (!cur->written()) overlapped_.fetch_add(1, std::memory_order_relaxed);
-    Cell* next = op(*store_, cur, store_->input(store_->build(sorted())));
+    Cell* next = op(store(), cur, store().input(store().build(sorted())));
     batches_.fetch_add(1, std::memory_order_relaxed);
     account_chain();
     // Publish after the accounting so a reader that sees the new root also
@@ -580,20 +615,12 @@ class Index {
 #endif
   }
 
-  // Runs `walk(root)` as an announced reader: the seq_cst increment is
-  // ordered against compact()'s seq_cst root publish, so either the root
-  // load (also seq_cst) sees the fresh root, or compact's drain loop sees
-  // the reader and keeps the old store alive until it leaves.
+  // Runs `walk(root)` on a pin, which keeps the walked epoch alive however
+  // many compactions publish meanwhile.
   template <typename Walk>
   auto read(Walk walk) const {
-    struct Guard {
-      std::atomic<std::uint64_t>& n;
-      explicit Guard(std::atomic<std::uint64_t>& c) : n(c) {
-        n.fetch_add(1, std::memory_order_seq_cst);
-      }
-      ~Guard() { n.fetch_sub(1, std::memory_order_release); }
-    } guard(active_readers_);
-    return walk(root_.load(std::memory_order_seq_cst));
+    const Pin p = pinned();
+    return walk(p.root);
   }
 
   // Every entry in key order, in the form Store::build takes back.
@@ -602,12 +629,9 @@ class Index {
   Scheduler& sched_;
   std::uint64_t salt_;
   std::size_t leaf_cap_;
-  // Replaced wholesale by compact(); shared so snapshots can pin an epoch.
-  std::shared_ptr<Store> store_;
-  // Stores of shards this index absorbed: the live tree references their
-  // nodes until compact() rebuilds into a fresh arena. Guarded by snap_mu_
-  // (stats()/pinned() read it while the mutator appends).
-  std::vector<std::shared_ptr<const Store>> keep_alive_;
+  // Replaced, never changed, by compact() and absorb(); readers copy it
+  // under snap_mu_.
+  std::shared_ptr<const Epoch> epoch_;
   // The < pivot root between split_off() and complete_split().
   Cell* split_pending_ = nullptr;
   // Set by absorb() on the absorbed husk: its in-flight work now belongs to
@@ -615,12 +639,10 @@ class Index {
   bool released_ = false;
   std::atomic<Cell*> root_;
 
-  // Pairs (store_, root_) for pinned() against compact()'s swap. Never held
-  // while waiting on cells, so pinned() is O(1).
+  // Pairs (epoch_, root_) for pinned() against publish(). Never held while
+  // waiting on cells, so pinned() is O(1).
   mutable std::mutex snap_mu_;
-
-  // Readers in flight (seq_cst Dekker pair with compact()'s root publish).
-  mutable std::atomic<std::uint64_t> active_readers_{0};
+  detail::MutatorToken owner_;
 
   mutable std::atomic<std::size_t> size_{0};
   mutable std::atomic<bool> size_valid_{true};

@@ -19,9 +19,9 @@
 //     a Probe<V> result-cell: the async point read behind
 //     ParallelMap::probe_into (E27's pipelined reply path).
 //
-// Both pin their epoch the way MapSnapshot does — shared_ptr copies of the
-// store (plus absorbed-shard stores) travel in the coroutine frame — so the
-// walk stays valid across concurrent compact() epochs and adaptive merges.
+// Both carry an Index pin (a shared_ptr to its storage epoch) in the
+// coroutine frame, so the walk stays valid across concurrent compact()
+// epochs and adaptive merges.
 #pragma once
 
 #include <cstdint>
@@ -44,25 +44,23 @@ struct Probe {
   bool found = false;
 };
 
-// One epoch-pinned tree: the (store, merged-stores, root) triple a facade
-// snapshots under its snap_mu_. `store` may be null for input-only cells in
-// tests; the pins are only held, never dereferenced.
-template <typename StoreT, typename CellT>
+// One pinned tree: a root and the epoch its nodes live in, read together
+// under the index's snap_mu_. The walks hold `epoch`, never dereference it.
+template <typename EpochT, typename CellT>
 struct Pinned {
-  std::shared_ptr<const StoreT> store;
-  std::vector<std::shared_ptr<const StoreT>> merged;
+  std::shared_ptr<const EpochT> epoch;
   CellT* root = nullptr;
 };
 
 // Await every cell reachable from every pinned root (structure cells, and
 // aug cells when the entry is augmented), then write *done = 1. Spawn it;
 // the caller co_awaits (or wait_blocking()s) the done cell.
-template <typename StoreT, typename CellT>
-Fiber quiesce_fiber(std::vector<Pinned<StoreT, CellT>> pins,
+template <typename EpochT, typename CellT>
+Fiber quiesce_fiber(std::vector<Pinned<EpochT, CellT>> pins,
                     FutCell<int>* done) {
   using NodeT = std::remove_pointer_t<typename CellT::value_type>;
   std::vector<CellT*> stack;
-  for (const Pinned<StoreT, CellT>& p : pins) stack.push_back(p.root);
+  for (const Pinned<EpochT, CellT>& p : pins) stack.push_back(p.root);
   while (!stack.empty()) {
     CellT* c = stack.back();
     stack.pop_back();
@@ -82,8 +80,8 @@ Fiber quiesce_fiber(std::vector<Pinned<StoreT, CellT>> pins,
 // Probe into *out. Pipelines with in-flight batches chained before the pin
 // was taken — the paper's consumer descending into a producer's half-built
 // tree, now without holding a worker hostage.
-template <typename StoreT, typename CellT, typename V>
-Fiber probe_fiber(Pinned<StoreT, CellT> pin, pipelined::treap::Key k,
+template <typename EpochT, typename CellT, typename V>
+Fiber probe_fiber(Pinned<EpochT, CellT> pin, pipelined::treap::Key k,
                   FutCell<Probe<V>>* out) {
   using NodeT = std::remove_pointer_t<typename CellT::value_type>;
   CellT* c = pin.root;

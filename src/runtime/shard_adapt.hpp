@@ -1,6 +1,6 @@
 // Contention-adaptive sharding support (docs/service.md): the per-shard
-// traffic statistics, split/merge thresholds, and epoch-published routing
-// table of rt::Sharded (sharded.hpp).
+// traffic statistics, split/merge thresholds, and routing table of
+// rt::Sharded (sharded.hpp).
 //
 // The adaptation idea follows the lock-free contention-adapting search
 // tree (ROADMAP): every shard keeps per-batch contention/occupancy stats;
@@ -10,20 +10,18 @@
 // bodies (Index::split_off / absorb), so a rebalance overlaps in-flight
 // batches instead of stopping the world.
 //
-// Routing: readers resolve their shard through an atomically published,
-// immutable Table (sorted split points + shard pointers). A structural
-// change builds a fresh Table, publishes it seq_cst, then drains a
-// Dekker-style reader count before retiring the old table and destroying
-// absorbed shard husks — the same epoch-retirement protocol the index's
-// compact() uses for stores.
+// Routing: readers resolve their shard through an immutable Table (sorted
+// split points + the shards, which it owns), held by shared_ptr. A
+// structural change publishes a fresh Table; an absorbed shard husk dies
+// with the last Table that names it — the same refcounted retirement the
+// index's pins give its stores.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -120,60 +118,13 @@ inline std::optional<Key> split_point(std::vector<Key> s) {
 // batch slicing.
 template <typename Shard>
 struct Table {
-  std::vector<Key> lowers;     // lowers[i] = lower bound of shards[i + 1]
-  std::vector<Shard*> shards;  // shards.size() == lowers.size() + 1
+  std::vector<Key> lowers;                     // lower bound of shards[i + 1]
+  std::vector<std::shared_ptr<Shard>> shards;  // lowers.size() + 1 of them
 
   std::size_t index(Key k) const {
     return static_cast<std::size_t>(
         std::upper_bound(lowers.begin(), lowers.end(), k) - lowers.begin());
   }
-};
-
-// Atomically published routing table with Dekker-drained retirement.
-template <typename Shard>
-class Router {
- public:
-  Router() : table_(new Table<Shard>{}) {}
-  ~Router() { delete table_.load(std::memory_order_acquire); }
-  Router(const Router&) = delete;
-  Router& operator=(const Router&) = delete;
-
-  // Reader side: announce (seq_cst, pairing with publish()'s seq_cst
-  // exchange), then load. While the guard lives, the table — and every
-  // shard it points to — cannot be retired.
-  class Guard {
-   public:
-    explicit Guard(const Router& r) : r_(r) {
-      r_.readers_.fetch_add(1, std::memory_order_seq_cst);
-      table_ = r_.table_.load(std::memory_order_seq_cst);
-    }
-    ~Guard() { r_.readers_.fetch_sub(1, std::memory_order_release); }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-    const Table<Shard>* operator->() const { return table_; }
-    const Table<Shard>& operator*() const { return *table_; }
-
-   private:
-    const Router& r_;
-    const Table<Shard>* table_;
-  };
-
-  // Mutator side: publish a rebuilt partition and drain every reader that
-  // could still hold the old table. On return no Guard references the old
-  // epoch — a shard absent from the new table (a merged-away husk) is safe
-  // to destroy.
-  void publish(std::vector<Shard*> shards, std::vector<Key> lowers) {
-    auto* fresh = new Table<Shard>{std::move(lowers), std::move(shards)};
-    const Table<Shard>* old = table_.exchange(fresh, std::memory_order_seq_cst);
-    while (readers_.load(std::memory_order_seq_cst) != 0)
-      std::this_thread::yield();
-    delete old;
-  }
-
- private:
-  std::atomic<const Table<Shard>*> table_;
-  mutable std::atomic<std::uint64_t> readers_{0};
 };
 
 }  // namespace pwf::rt::adapt

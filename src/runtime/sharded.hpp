@@ -26,11 +26,12 @@
 // the shard pipelines and overlaps in-flight batches instead of stopping
 // the world.
 //
-// Routing is an atomically published sorted split-point table
-// (adapt::Router): readers pin the current table with a Dekker-style guard,
-// structural changes publish a fresh table and drain the guard count before
-// destroying merged-away shard husks — the same epoch retirement compact()
-// uses for stores. All shards share one priority salt so nodes can migrate
+// Routing is an immutable sorted split-point table (adapt::Table) that owns
+// its shards, published as a shared_ptr under a mutex. A reader copies the
+// current table, reads the shard it names, and retries if a split or merge
+// published a new table meanwhile; a structural change publishes a fresh
+// table and waits for nobody — a merged-away husk dies with the last table
+// that names it. All shards share one priority salt so nodes can migrate
 // between shards through split/join.
 //
 // An incoming batch is sorted and deduplicated once (map items pre-merged,
@@ -41,8 +42,8 @@
 // order, so non-commutative combines behave as on the unsharded index.
 //
 // Thread contract is inherited from Index: one mutator thread at a time
-// (rebalancing happens inside mutator calls), any number of concurrent
-// readers.
+// (rebalancing happens inside mutator calls; analyze builds abort on a
+// second one), any number of concurrent readers.
 #pragma once
 
 #include <algorithm>
@@ -108,34 +109,29 @@ class Sharded {
     if (cfg_.enabled)
       n = std::clamp(n, std::max<std::size_t>(1, cfg_.min_shards),
                      std::max<std::size_t>(1, cfg_.max_shards));
-    // Shard i owns [lowers_[i-1], lowers_[i]) with implicit -inf/+inf ends.
+    // Shard i owns [lowers[i-1], lowers[i]) with implicit -inf/+inf ends.
     // The uniform cut is taken in unsigned space; flipping the sign bit maps
     // it back order-preservingly, so the signed ranges are contiguous.
+    Table t;
     const std::uint64_t step =
         std::numeric_limits<std::uint64_t>::max() / n + 1;
     for (std::size_t i = 1; i < n; ++i)
-      lowers_.push_back(
+      t.lowers.push_back(
           static_cast<Key>((step * i) ^ (std::uint64_t{1} << 63)));
     for (std::size_t i = 0; i < n; ++i)
-      shards_.push_back(std::make_unique<I>(sched, salt, leaf_cap));
+      t.shards.push_back(std::make_shared<I>(sched, salt, leaf_cap));
     heats_.resize(n);
-    publish_table();
+    table_ = std::make_shared<const Table>(std::move(t));
   }
 
   Sharded(const Sharded&) = delete;
   Sharded& operator=(const Sharded&) = delete;
 
-  std::size_t shard_count() const {
-    Guard g(router_);
-    return g->shards.size();
-  }
+  std::size_t shard_count() const { return table()->shards.size(); }
 
   // Current split points (lower bounds of shards 1..S-1), for tests and
   // monitoring.
-  std::vector<Key> boundaries() const {
-    Guard g(router_);
-    return g->lowers;
-  }
+  std::vector<Key> boundaries() const { return table()->lowers; }
 
   // Batch mutators: each nonempty slice is chained onto its shard's
   // pipeline (Index semantics per slice). With adaptation enabled, each
@@ -180,54 +176,58 @@ class Sharded {
   }
 
   void flush() const {
-    Guard g(router_);
-    for (I* s : g->shards) s->flush();
+    const std::shared_ptr<const Table> t = table();
+    for (const auto& s : t->shards) s->flush();
   }
 
   // Async quiescence across every shard: one fiber awaits all shards'
   // epoch-pinned trees, then writes `done` (see Index::on_flush).
   void on_flush(FutCell<int>& done) const {
-    Guard g(router_);
-    std::vector<typename I::Pin> pins;
-    pins.reserve(g->shards.size());
-    for (I* s : g->shards) pins.push_back(s->pinned());
+    auto pins = routed([](const Table& t) {
+      std::vector<typename I::Pin> out;
+      for (const auto& s : t.shards) out.push_back(s->pinned());
+      return out;
+    });
     spawn(rtasync::quiesce_fiber(std::move(pins), &done));
   }
 
   // Compact every shard. Long-lived services should instead rotate:
   // `compact_shard(epoch % shard_count())` once per maintenance tick.
   void compact() {
-    for (auto& s : shards_) s->compact();
+    const auto hold = owner_.hold();
+    for (const auto& s : table_->shards) s->compact();
   }
-  void compact_shard(std::size_t i) { shards_[i]->compact(); }
+  void compact_shard(std::size_t i) {
+    const auto hold = owner_.hold();
+    table_->shards[i]->compact();
+  }
 
   // Point reads are routed to the shard owning the key.
   bool contains(Key k) const {
-    Guard g(router_);
-    return g->shards[g->index(k)]->contains(k);
+    return routed(
+        [k](const Table& t) { return t.shards[t.index(k)]->contains(k); });
   }
   auto get(Key k) const
     requires(I::kMap)
   {
-    Guard g(router_);
-    return g->shards[g->index(k)]->get(k);
+    return routed([k](const Table& t) { return t.shards[t.index(k)]->get(k); });
   }
 
-  // Async point read, routed like get(): the owning shard pins its epoch
+  // Async point read, routed like get(): the owning shard's pin is taken
   // before this returns, so a concurrent rebalance cannot strand the walk.
   void probe_into(Key k, FutCell<rtasync::Probe<typename I::Value>>& out) const
     requires(I::kMap)
   {
-    Guard g(router_);
-    g->shards[g->index(k)]->probe_into(k, out);
+    spawn(rtasync::probe_fiber(
+        routed([k](const Table& t) { return t.shards[t.index(k)]->pinned(); }),
+        k, &out));
   }
 
   // Epoch-pinned snapshot of the shard currently owning key k (there is no
-  // cross-shard snapshot; ranges are independent pipelines). Taken under
-  // the routing guard, so it cannot pin a merged-away husk.
+  // cross-shard snapshot; ranges are independent pipelines).
   auto snapshot(Key k) const {
-    Guard g(router_);
-    return g->shards[g->index(k)]->snapshot();
+    return routed(
+        [k](const Table& t) { return t.shards[t.index(k)]->snapshot(); });
   }
 
   // Range aggregate over keys in [lo, hi]: only the shards whose key range
@@ -237,20 +237,22 @@ class Sharded {
     requires(I::kAug)
   {
     using Ops = typename I::Entry::AugOps;
-    auto acc = Ops::identity();
-    if (lo > hi) return acc;
-    Guard g(router_);
-    const std::size_t last = g->index(hi);
-    for (std::size_t i = g->index(lo); i <= last; ++i)
-      acc = Ops::combine(acc, g->shards[i]->aggregate(lo, hi));
-    return acc;
+    return routed([lo, hi](const Table& t) {
+      auto acc = Ops::identity();
+      if (lo > hi) return acc;
+      const std::size_t last = t.index(hi);
+      for (std::size_t i = t.index(lo); i <= last; ++i)
+        acc = Ops::combine(acc, t.shards[i]->aggregate(lo, hi));
+      return acc;
+    });
   }
 
   std::size_t size() const {
-    Guard g(router_);
-    std::size_t n = 0;
-    for (I* s : g->shards) n += s->size();
-    return n;
+    return routed([](const Table& t) {
+      std::size_t n = 0;
+      for (const auto& s : t.shards) n += s->size();
+      return n;
+    });
   }
   bool empty() const { return size() == 0; }
 
@@ -267,13 +269,13 @@ class Sharded {
   }
 
   Stats stats() const {
-    Guard g(router_);
+    const std::shared_ptr<const Table> t = table();
     Stats agg;
-    agg.shards = g->shards.size();
+    agg.shards = t->shards.size();
     std::size_t total = 0;
     std::size_t kmin = std::numeric_limits<std::size_t>::max();
     std::size_t kmax = 0;
-    for (I* s : g->shards) {
+    for (const auto& s : t->shards) {
       const IndexStats st = s->stats();
       agg.batches += st.batches;
       agg.overlapped += st.overlapped;
@@ -308,17 +310,17 @@ class Sharded {
     return agg;
   }
 
+  // Empty for an index past the current shard count (a caller may hold a
+  // count from before a merge).
   IndexStats shard_stats(std::size_t i) const {
-    Guard g(router_);
-    return g->shards[i]->stats();
+    const std::shared_ptr<const Table> t = table();
+    return i < t->shards.size() ? t->shards[i]->stats() : IndexStats{};
   }
 
   ShardLoad shard_load(std::size_t i) const {
     ShardLoad out;
-    {
-      Guard g(router_);
-      if (i < g->shards.size()) out.pending = g->shards[i]->pending();
-    }
+    if (const std::shared_ptr<const Table> t = table(); i < t->shards.size())
+      out.pending = t->shards[i]->pending();
     std::lock_guard<std::mutex> lk(stats_mu_);
     if (i < heats_.size()) {
       out.heat = heats_[i].heat;
@@ -329,9 +331,9 @@ class Sharded {
 
   // Storage composition summed over every shard (forces all trees).
   CacheEconomy cache_economy() const {
-    Guard g(router_);
+    const std::shared_ptr<const Table> t = table();
     CacheEconomy agg;
-    for (I* s : g->shards) {
+    for (const auto& s : t->shards) {
       const CacheEconomy ce = s->cache_economy();
       agg.internal_nodes += ce.internal_nodes;
       agg.leaf_chunks += ce.leaf_chunks;
@@ -344,43 +346,66 @@ class Sharded {
   }
 
  private:
-  using Guard = typename adapt::Router<I>::Guard;
+  using Table = adapt::Table<I>;
 
-  void publish_table() {
-    std::vector<I*> raw;
-    raw.reserve(shards_.size());
-    for (auto& s : shards_) raw.push_back(s.get());
-    router_.publish(std::move(raw), lowers_);
+  std::shared_ptr<const Table> table() const {
+    std::lock_guard<std::mutex> lk(table_mu_);
+    return table_;
+  }
+
+  // Runs `read` on the current table and retries if a split or merge
+  // published a new one meanwhile. A read routed by the old table may have
+  // found the left shard already shrunk by complete_split(), or a husk that
+  // no longer takes batches; the table it finds afterwards is then new. A
+  // split publishes before it shrinks, so that reload cannot miss it.
+  template <typename Read>
+  auto routed(Read read) const {
+    for (;;) {
+      const std::shared_ptr<const Table> t = table();
+      auto out = read(*t);
+      if (t == table()) return out;
+    }
   }
 
   std::vector<Item> entries() const {
-    Guard g(router_);
-    std::vector<Item> out;
-    for (I* s : g->shards) {
-      const std::vector<Item> part = s->entries();
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
+    return routed([](const Table& t) {
+      std::vector<Item> out;
+      for (const auto& s : t.shards) {
+        const std::vector<Item> part = s->entries();
+        out.insert(out.end(), part.begin(), part.end());
+      }
+      return out;
+    });
   }
 
-  // Mutator-side batch routing: slice the sorted batch against the
-  // mutator's own partition (lowers_ — always in sync with shards_), feed
-  // the heat EWMAs, then consider one structural change.
+  // Installs the mutator's next partition. The old table — and a husk only
+  // it names — is freed unless a reader still holds it: it leaves with
+  // `fresh`, after the lock is released.
+  void publish(Table next) {
+    auto fresh = std::make_shared<const Table>(std::move(next));
+    std::lock_guard<std::mutex> lk(table_mu_);
+    table_.swap(fresh);
+  }
+
+  // Mutator-side batch routing: slice the sorted batch against the current
+  // partition, feed the heat EWMAs, then consider one structural change.
   template <typename T, typename Visit>
   void route(const std::vector<T>& batch, bool visit_empty, Visit visit) {
+    const auto hold = owner_.hold();
+    const Table& t = *table_;
     auto lo = batch.begin();
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const auto hi = i < lowers_.size()
-                          ? std::lower_bound(lo, batch.end(), lowers_[i],
+    for (std::size_t i = 0; i < t.shards.size(); ++i) {
+      const auto hi = i < t.lowers.size()
+                          ? std::lower_bound(lo, batch.end(), t.lowers[i],
                                              [](const T& x, Key b) {
                                                return adapt::key_of(x) < b;
                                              })
                           : batch.end();
       const std::span<const T> slice(lo, hi);
-      if (!slice.empty() || visit_empty) visit(*shards_[i], slice);
+      if (!slice.empty() || visit_empty) visit(*t.shards[i], slice);
       if (cfg_.enabled) {
         std::lock_guard<std::mutex> lk(stats_mu_);
-        heats_[i].record(slice, batch.size(), shards_.size(), cfg_);
+        heats_[i].record(slice, batch.size(), t.shards.size(), cfg_);
       }
       lo = hi;
     }
@@ -391,16 +416,16 @@ class Sharded {
   // Split beats merge when both trigger (heat is the thing hurting now).
   void maybe_rebalance() {
     if (++since_change_ <= cfg_.cooldown) return;
+    const std::size_t n = heats_.size();  // one per shard
     std::size_t hot = 0;
-    for (std::size_t i = 1; i < heats_.size(); ++i)
+    for (std::size_t i = 1; i < n; ++i)
       if (heats_[i].heat > heats_[hot].heat) hot = i;
-    if (heats_[hot].heat > adapt::split_threshold(cfg_, shards_.size()) &&
-        shards_.size() < std::max<std::size_t>(1, cfg_.max_shards) &&
-        try_split(hot)) {
+    if (heats_[hot].heat > adapt::split_threshold(cfg_, n) &&
+        n < std::max<std::size_t>(1, cfg_.max_shards) && try_split(hot)) {
       since_change_ = 0;
       return;
     }
-    if (shards_.size() <= std::max<std::size_t>(1, cfg_.min_shards)) return;
+    if (n <= std::max<std::size_t>(1, cfg_.min_shards)) return;
     std::size_t best = heats_.size();
     double best_sum = cfg_.low_cont;
     for (std::size_t i = 0; i + 1 < heats_.size(); ++i) {
@@ -420,10 +445,12 @@ class Sharded {
     if (!pivot) return false;  // traffic can't be cut (e.g. one hot key)
     // Phase 1: fork the pipelined split; shard i keeps answering for its
     // full range from the old tree.
-    std::unique_ptr<I> right = shards_[i]->split_off(*pivot);
-    shards_.insert(shards_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                   std::move(right));
-    lowers_.insert(lowers_.begin() + static_cast<std::ptrdiff_t>(i), *pivot);
+    Table next = *table_;
+    std::shared_ptr<I> right = next.shards[i]->split_off(*pivot);
+    next.shards.insert(next.shards.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                       std::move(right));
+    next.lowers.insert(next.lowers.begin() + static_cast<std::ptrdiff_t>(i),
+                       *pivot);
     {
       // Split the traffic record between the halves.
       std::lock_guard<std::mutex> lk(stats_mu_);
@@ -439,21 +466,21 @@ class Sharded {
       ++splits_;
     }
     // New readers now route >= pivot keys to the new shard (which answers
-    // from the shared split output); old-table readers drain against the
-    // still-complete left tree.
-    publish_table();
+    // from the shared split output); a reader still on the old table
+    // retries once it sees this one (routed()).
+    publish(std::move(next));
     // Phase 2: only now may the left shard shrink to its < pivot root.
-    shards_[i]->complete_split();
+    table_->shards[i]->complete_split();
     return true;
   }
 
   void do_merge(std::size_t i) {
-    std::unique_ptr<I> husk = std::move(shards_[i + 1]);
+    Table next = *table_;
     // Chain the pipelined join onto shard i; the husk's pending work and
-    // arena now belong to the survivor.
-    shards_[i]->absorb(*husk);
-    shards_.erase(shards_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-    lowers_.erase(lowers_.begin() + static_cast<std::ptrdiff_t>(i));
+    // stores now belong to the survivor.
+    next.shards[i]->absorb(*next.shards[i + 1]);
+    next.shards.erase(next.shards.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+    next.lowers.erase(next.lowers.begin() + static_cast<std::ptrdiff_t>(i));
     {
       std::lock_guard<std::mutex> lk(stats_mu_);
       heats_[i].heat += heats_[i + 1].heat;
@@ -462,26 +489,26 @@ class Sharded {
       heats_.erase(heats_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
       ++merges_;
     }
-    // Drains every reader that could still route to the husk, then
-    // destroys it (its store stays pinned by the survivor until compact()).
-    publish_table();
-    husk.reset();
+    // The husk dies with the last table that names it: this one, or one a
+    // reader still holds (its stores live on in the survivor's epoch).
+    publish(std::move(next));
   }
 
   adapt::Config cfg_;
 
-  // Mutator-owned partition state; readers use the published router table.
-  std::vector<Key> lowers_;  // lower boundary of shards 1..S-1
-  std::vector<std::unique_ptr<I>> shards_;
-  std::vector<adapt::Heat> heats_;  // guarded by stats_mu_
+  // The current partition. Only the mutator replaces it, under table_mu_;
+  // readers copy it under table_mu_, the mutator reads it without.
+  std::shared_ptr<const Table> table_;
+  mutable std::mutex table_mu_;
+
+  std::vector<adapt::Heat> heats_;  // one per shard; guarded by stats_mu_
   std::uint64_t since_change_ = 0;
   std::uint64_t splits_ = 0;  // guarded by stats_mu_
   std::uint64_t merges_ = 0;  // guarded by stats_mu_
 
   // Serializes the mutator's heat updates against stats()/shard_load().
   mutable std::mutex stats_mu_;
-
-  adapt::Router<I> router_;
+  detail::MutatorToken owner_;
 };
 
 }  // namespace pwf::rt

@@ -1202,6 +1202,62 @@ TEST(RecPathAllocation, SixteenKeyBatchesStayWithinBudget) {
   EXPECT_LE(intersect_bpk, 700.0);
 }
 
+// The filtering path bodies allocate only what survives. Same shape, with
+// the batch as the first operand: an intersection keeps a few batch keys,
+// and the batch minus the map keeps most of them. An empty side takes a
+// nil cell only under a rebuilt node, and a leaf chunk scanned without a
+// shared key allocates no output.
+TEST(RecPathAllocation, FilteringBatchesAllocateOnlyWhatSurvives) {
+  using E = pt::MapEntry<std::int64_t>;
+  cm::Engine eng(/*trace=*/true);
+  const analyze::RecExec ex(eng, pipelined::RtExec::kDefaultSerialThreshold);
+  pt::Store<analyze::RecPolicy, E> st(eng, pt::kDefaultSalt,
+                                      pt::kDefaultLeafCapacity);
+  std::vector<KeyValue> base;
+  for (Key k = 0; k < (1 << 16); ++k) base.emplace_back(2 * k, k);
+  auto* const large = st.input(build_items(st, base));
+  const std::set<Key> base_keys = [&] {
+    std::set<Key> out;
+    for (const auto& kv : base) out.insert(kv.first);
+    return out;
+  }();
+
+  Rng rng(29);
+  std::vector<std::vector<KeyValue>> batches(64);
+  for (auto& batch : batches) {
+    std::map<Key, std::int64_t> m;
+    for (int i = 0; i < 16; ++i)
+      m.emplace(rng.range(0, 1 << 17), rng.range(1, 100));
+    batch.assign(m.begin(), m.end());
+  }
+  // Arena bytes per batch key of `batch op large`, the batch's own build
+  // excluded; every result's keys are checked against the oracle.
+  const auto bytes_per_key = [&](SetOp op) {
+    std::size_t bytes = 0, keys = 0;
+    for (const auto& batch : batches) {
+      auto* small = st.input(build_items(st, batch));
+      const std::size_t before = st.bytes_used();
+      auto* out = st.cell();
+      eng.fork([&] {
+        pipelined::run_inline(set_op_body(op, ex, st, small, large, out));
+      });
+      bytes += st.bytes_used() - before;
+      keys += batch.size();
+      std::vector<Key> want, got;
+      for (const auto& kv : batch)
+        if ((base_keys.count(kv.first) != 0) == (op == SetOp::kIntersect))
+          want.push_back(kv.first);
+      pt::visit_items(
+          out, [](const auto* x) { return analyze::RecPolicy::peek(x); },
+          [&](Key k, const std::int64_t&) { got.push_back(k); });
+      EXPECT_EQ(got, want);
+    }
+    return static_cast<double>(bytes) / static_cast<double>(keys);
+  };
+  EXPECT_LE(bytes_per_key(SetOp::kIntersect), 300.0);
+  EXPECT_LE(bytes_per_key(SetOp::kDiff), 1800.0);
+}
+
 // ---- leaf-chunk boundary straddle -------------------------------------------
 // Runtime treaps store subtrees at or below Store::leaf_capacity() as flat
 // sorted chunks (docs/storage.md). These sizes pin the handoff between

@@ -241,9 +241,9 @@ TEST(ParallelSetConcurrent, ReadersRacePipelinedWriters) {
 
 TEST(ParallelSetConcurrent, ReadersRaceChunkedCompaction) {
   // compact() rebuilds the set into fresh chunked-leaf storage and frees the
-  // old store; readers announce themselves through the seq_cst reader count
-  // (docs/storage.md). Point reads and whole-tree walks race repeated
-  // compactions here — under tsan this pins the Dekker publish/drain pair.
+  // old store once no reader pins it (docs/service.md). Point reads and
+  // whole-tree walks race repeated compactions here — under tsan this pins
+  // the epoch publish against every read's pin.
   Scheduler sched(2);
   Rng rng(37);
   const auto initial = draw(rng, 3000);

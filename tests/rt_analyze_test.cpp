@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "analyze/rt_recorder.hpp"
@@ -193,6 +195,46 @@ TEST_F(RtAnalyze, SchedulerShutdownWithUnflushedPipelineNeitherAbortsNorHangs) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_EXIT(shutdown_with_unflushed_pipeline(),
               ::testing::ExitedWithCode(0), "");
+}
+
+// The single-mutator rule, enforced: thread A sits in compact(), held up
+// behind a batch the lone worker cannot run (a spinning fiber holds it),
+// when the main thread submits a batch on the same index. The batch call
+// must abort with the owner token's message. If it does not, the child
+// exits 0 and the death test fails instead of hanging.
+Fiber spin_until(std::atomic<bool>* started, std::atomic<bool>* release) {
+  started->store(true, std::memory_order_release);
+  while (!release->load(std::memory_order_acquire)) std::this_thread::yield();
+  co_return;
+}
+
+void batch_during_compaction() {
+  Scheduler sched(1);
+  ParallelSet set(sched);
+  std::vector<std::int64_t> keys(4096);
+  std::iota(keys.begin(), keys.end(), 0);
+  set.insert_batch(keys);
+  set.flush();
+  std::atomic<bool> started{false}, release{false}, compacting{false};
+  spawn(spin_until(&started, &release));
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  set.insert_batch(std::vector<std::int64_t>{1 << 20});  // stays pending
+  std::thread a([&] {
+    compacting.store(true, std::memory_order_release);
+    set.compact();  // waits for the pending batch
+  });
+  while (!compacting.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  set.insert_batch(std::vector<std::int64_t>{1 << 21});  // must abort
+  release.store(true, std::memory_order_release);
+  a.join();
+  std::_Exit(0);
+}
+
+TEST_F(RtAnalyze, SecondMutatorThreadAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(batch_during_compaction(), "one mutator thread at a time");
 }
 
 TEST_F(RtAnalyze, DoubleWriteStillAbortsEagerly) {

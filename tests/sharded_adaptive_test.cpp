@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <optional>
 #include <set>
@@ -44,6 +45,13 @@ std::vector<Key> window_batch(Rng& rng, std::size_t n, Key lo, Key span) {
   std::vector<Key> out;
   for (std::size_t i = 0; i < n; ++i) out.push_back(lo + rng.range(0, span));
   return out;
+}
+
+// Holds a worker until `release` is set.
+Fiber spin_until(std::atomic<bool>* started, std::atomic<bool>* release) {
+  started->store(true, std::memory_order_release);
+  while (!release->load(std::memory_order_acquire)) std::this_thread::yield();
+  co_return;
 }
 
 // ---- split-point policy ------------------------------------------------------
@@ -293,10 +301,11 @@ TEST(ShardedAdaptiveMap, AggregatesSpanRebalancedShards) {
 
 // ---- readers vs rebalancing (tsan target) -----------------------------------
 
-// Concurrent readers resolve shards through the epoch-published routing
-// table while the mutator forces split/merge cycles and rotating shard
-// compactions. Under tsan this exercises the Router guard/publish protocol,
-// the two-phase split, and husk retirement against every reader path.
+// Concurrent readers resolve shards through the published routing table
+// while the mutator forces split/merge cycles and rotating shard
+// compactions. Under tsan this exercises the table publish and re-check
+// protocol, the two-phase split, and husk retirement against every reader
+// path.
 TEST(ShardedAdaptiveSet, ReadersRaceRebalanceCycles) {
   Scheduler sched(2);
   ShardedParallelSet sh(sched, 2, 0x9e3779b97f4a7c15ULL,
@@ -342,6 +351,147 @@ TEST(ShardedAdaptiveSet, ReadersRaceRebalanceCycles) {
 
   const ShardedParallelSet::Stats st = sh.stats();
   EXPECT_GT(st.splits, 0u);
+  EXPECT_EQ(sh.keys(), std::vector<Key>(ref.begin(), ref.end()));
+}
+
+// What a reader gets while shards split, merge and compact: base keys are
+// never erased and values only grow, so every base key must stay visible
+// through every routed read, and a range sum can never drop below the base
+// keys' count. A read routed by a table that a split replaced may meet the
+// left shard already shrunk to its < pivot root; only the re-check after
+// the read keeps it from missing keys. Whole-index reads (items(), and
+// aggregates over every shard) walk the hot shards last, so a split lands
+// inside them often.
+TEST(ShardedAdaptiveMap, ReadersNeverMissAKeyDuringRebalance) {
+  using SumAug = pipelined::treap::SumAug<std::int64_t>;
+  using Item = std::pair<Key, std::int64_t>;
+  Scheduler sched(2);
+  ShardedParallelMap<std::int64_t, SumAug> sh(
+      sched, 2, 0x9e3779b97f4a7c15ULL,
+      pipelined::treap::kDefaultLeafCapacity, eager_config(8));
+  const auto add = [](std::int64_t x, std::int64_t y) { return x + y; };
+  // Dense in the four windows the mutator's traffic visits, so every pivot
+  // a split picks there has base keys on both sides.
+  std::vector<Key> base;
+  for (Key w = 0; w < 4; ++w)
+    for (Key i = 0; i < 512; ++i) base.push_back((w << 20) + 4 * i);
+  std::vector<Item> base_items;
+  for (const Key k : base) base_items.emplace_back(k, 1);
+  sh.insert_batch(base_items, add);
+  sh.flush();
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads{0}, misses{0}, low_sums{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(200 + r);
+      while (!stop.load(std::memory_order_acquire)) {
+        const Key k = base[rng.below(base.size())];
+        const std::optional<std::int64_t> v = sh.get(k);
+        if (!v || *v < 1) misses.fetch_add(1);
+        if (!sh.contains(k)) misses.fetch_add(1);
+        if (!sh.snapshot(k).contains(k)) misses.fetch_add(1);
+        const bool wide = rng.below(2) == 0;
+        const Key lo = wide ? -1 : (rng.range(0, 3) << 20) + rng.range(0, 2048);
+        const Key hi = wide ? Key{4} << 20 : lo + rng.range(0, 1 << 21);
+        const auto n = static_cast<std::int64_t>(
+            std::upper_bound(base.begin(), base.end(), hi) -
+            std::lower_bound(base.begin(), base.end(), lo));
+        if (sh.aggregate(lo, hi) < n) low_sums.fetch_add(1);
+        if (rng.below(4) == 0) {
+          std::vector<Key> keys;
+          for (const Item& it : sh.items()) keys.push_back(it.first);
+          if (!std::includes(keys.begin(), keys.end(), base.begin(),
+                             base.end()))
+            misses.fetch_add(1);
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+
+  Rng rng(32);
+  std::map<Key, std::int64_t> ref;
+  for (const Key k : base) ref[k] = 1;
+  for (int round = 0; round < 120; ++round) {
+    const Key lo = static_cast<Key>((round / 6) % 4) << 20;
+    std::vector<Item> batch;
+    for (const Key k : window_batch(rng, 100, lo, 2048))
+      batch.emplace_back(k, static_cast<std::int64_t>(rng.range(1, 9)));
+    sh.insert_batch(batch, add);
+    for (const auto& [k, v] : batch) ref[k] += v;
+    if (round % 12 == 11)
+      sh.compact_shard(static_cast<std::size_t>(round / 12) %
+                       sh.shard_count());
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(misses.load(), 0u);
+  EXPECT_EQ(low_sums.load(), 0u);
+  const auto st = sh.stats();
+  EXPECT_GT(st.splits, 0u);
+  EXPECT_GT(st.merges, 0u);
+  EXPECT_EQ(sh.items(), std::vector<Item>(ref.begin(), ref.end()));
+  // A shard index from a stale count reads as an empty shard.
+  const IndexStats past = sh.shard_stats(sh.shard_count());
+  EXPECT_EQ(past.batches, 0u);
+  EXPECT_EQ(past.arena_bytes, 0u);
+}
+
+// A rebalance publishes a new routing table without waiting for readers:
+// a reader parked on a shard's unwritten root must not hold up the
+// mutator's split (the producer never waits on a consumer). The lone
+// worker is held by a spinning fiber so the root stays unwritten; a
+// watchdog releases it after 2 s, so a mutator that waits fails the test
+// instead of hanging it.
+TEST(ShardedAdaptiveSet, RebalanceDoesNotWaitForParkedReader) {
+  Scheduler sched(1);
+  ShardedParallelSet sh(sched, 2, 0x9e3779b97f4a7c15ULL,
+                        pipelined::treap::kDefaultLeafCapacity,
+                        eager_config());
+  std::set<Key> ref;
+  std::vector<Key> base;
+  for (Key i = 0; i < 4096; ++i) base.push_back(16 * i);
+  sh.insert_batch(base);
+  sh.flush();
+  ref.insert(base.begin(), base.end());
+
+  std::atomic<bool> started{false}, release{false}, mutator_done{false};
+  spawn(spin_until(&started, &release));
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  const std::vector<Key> first{1, 3, 5, 7, 9, 11};
+  sh.insert_batch(first);  // its root stays unwritten: the worker is held
+  ref.insert(first.begin(), first.end());
+  std::atomic<bool> found{false};
+  std::thread reader([&] { found.store(sh.contains(5)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // parks
+
+  bool fired = false;
+  std::thread watchdog([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!mutator_done.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    fired = !mutator_done.load(std::memory_order_acquire);
+    release.store(true, std::memory_order_release);
+  });
+  const std::size_t shards_before = sh.shard_count();
+  const std::vector<Key> more{13, 15, 17, 19, 21, 23, 25, 27};
+  sh.insert_batch(more);  // same shard as 5: splits it
+  const std::size_t shards_after = sh.shard_count();
+  mutator_done.store(true, std::memory_order_release);
+  watchdog.join();
+  reader.join();
+  ref.insert(more.begin(), more.end());
+
+  EXPECT_FALSE(fired) << "the split waited for the parked reader";
+  EXPECT_GT(shards_after, shards_before);
+  EXPECT_TRUE(found.load());
   EXPECT_EQ(sh.keys(), std::vector<Key>(ref.begin(), ref.end()));
 }
 
