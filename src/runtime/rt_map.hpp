@@ -79,36 +79,64 @@ static_assert(sizeof(Node<std::int64_t>) <= 64,
 // Each forks its body and returns at once; the result materializes on the
 // scheduler. The batch ops park behind an unwritten left operand instead of
 // being posted (RtExec::fork_after).
+//
+// The batch ops are values too: `op.body(st, a, b, out)` is the fiber its
+// driver forks, which rt::Index's batch groups run inside their own fiber.
 
 // Union: a key in both operands gets merge(value_in_a, value_in_b) — the
 // operand order is by *map*, not by priority (the shared body's `flip`
 // tracks priority swaps), so asymmetric merges (e.g. "b overwrites a")
 // behave as documented. Sets take the default.
+template <typename Merge = pt::FirstWins>
+struct Union {
+  Merge merge;
+  template <typename E>
+  pipelined::Fiber body(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b,
+                        CellOf<E>* out) const {
+    return pt::union_into(pipelined::RtExec{}, st, a, b, out, merge);
+  }
+};
+
+// Difference: drop the keys of `b` from `a` (b's values are irrelevant).
+struct Diff {
+  template <typename E>
+  pipelined::Fiber body(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b,
+                        CellOf<E>* out) const {
+    return pt::diff_into(pipelined::RtExec{}, st, a, b, out);
+  }
+};
+
+// Intersection: the keys of `a` that are also in `b`, with a's values.
+struct Intersect {
+  template <typename E>
+  pipelined::Fiber body(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b,
+                        CellOf<E>* out) const {
+    return pt::intersect_into(pipelined::RtExec{}, st, a, b, out);
+  }
+};
+
+// Forks `op` on (a, b) into a fresh cell, parked behind an unwritten `a`.
+template <typename E, typename Op>
+CellOf<E>* chain(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b, Op op) {
+  CellOf<E>* out = st.cell();
+  pipelined::RtExec{}.fork_after(a, op.body(st, a, b, out));
+  return out;
+}
+
 template <typename E, typename Merge = pt::FirstWins>
 CellOf<E>* union_maps(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b,
                       Merge merge = {}) {
-  pipelined::RtExec ex;
-  CellOf<E>* out = st.cell();
-  ex.fork_after(a, pt::union_into(ex, st, a, b, out, merge));
-  return out;
+  return chain(st, a, b, Union<Merge>{merge});
 }
 
-// Difference: drop the keys of `b` from `a` (b's values are irrelevant).
 template <typename E>
 CellOf<E>* diff_maps(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b) {
-  pipelined::RtExec ex;
-  CellOf<E>* out = st.cell();
-  ex.fork_after(a, pt::diff_into(ex, st, a, b, out));
-  return out;
+  return chain(st, a, b, Diff{});
 }
 
-// Intersection: the keys of `a` that are also in `b`, with a's values.
 template <typename E>
 CellOf<E>* intersect_maps(StoreOf<E>& st, CellOf<E>* a, CellOf<E>* b) {
-  pipelined::RtExec ex;
-  CellOf<E>* out = st.cell();
-  ex.fork_after(a, pt::intersect_into(ex, st, a, b, out));
-  return out;
+  return chain(st, a, b, Intersect{});
 }
 
 // Rebalance primitives of the contention-adaptive shards (docs/service.md);
